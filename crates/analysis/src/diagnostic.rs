@@ -54,9 +54,10 @@ pub enum DiagCode {
     /// instance's mutation epoch — applied the logged delta incrementally,
     /// found the cache current, or fell back to a full recompute (and why).
     IncrementalMaintenance,
-    /// A008: how the subplan cache behaved during a repair-family fold —
-    /// hits/misses accrued while quantifying the query over repairs, or a
-    /// note that sharing was disabled for the run.
+    /// A008: which fold answered the repair family — the component fold
+    /// over witness slices (with the witness count), or a per-repair fold
+    /// with the subplan-cache hits/misses it accrued (or a note that
+    /// sharing was disabled for the run).
     PlanCache,
     /// G001: the estimated grounding size exceeds the blow-up threshold.
     GroundingBlowup,
@@ -266,7 +267,7 @@ impl DiagCode {
                 "how cached conflict state was revalidated: incremental delta, current, or full recompute"
             }
             DiagCode::PlanCache => {
-                "subplan-cache behaviour during the repair-family fold: hits, misses, or sharing disabled"
+                "which fold answered the repair family: witness slices (witness count), or per-repair evaluation with subplan-cache hits/misses"
             }
             DiagCode::GroundingBlowup => {
                 "the estimated grounding size exceeds the blow-up threshold"

@@ -17,27 +17,18 @@ fn query() -> UnionQuery {
     UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap())
 }
 
-/// The legacy sequential enumeration-and-fold over the full cross-product
-/// (a generous step budget disables the factored gate).
+/// The unbudgeted reference entry: the query folded over every repair of
+/// the full cross-product.
 fn cqa_monolithic(
     db: &cqa_relation::Database,
     sigma: &cqa_constraints::ConstraintSet,
     q: &UnionQuery,
 ) -> std::collections::BTreeSet<cqa_relation::Tuple> {
-    let out = cqa_core::consistent_answers_budgeted(
-        db,
-        sigma,
-        q,
-        &RepairClass::Subset,
-        &Budget::steps(1_000_000_000),
-    )
-    .unwrap();
-    assert!(out.truncation().is_none());
-    out.into_value()
+    cqa_core::consistent_answers(db, sigma, q, &RepairClass::Subset).unwrap()
 }
 
-/// The component-wise certain fold: query the frozen core once, then fold
-/// each component's local repair family independently.
+/// The component-wise certain fold: one witness scan of the query, sliced
+/// by component and folded over each component's local repair family.
 fn cqa_factored(
     db: &cqa_relation::Database,
     sigma: &cqa_constraints::ConstraintSet,

@@ -844,8 +844,9 @@ fn f15_budgets() {
     use cqa_exec::{with_threads, Budget, Limits, Outcome};
     println!("F15: graceful degradation under execution budgets (anytime CQA)");
     println!("----------------------------------------------------------------");
-    println!("  workload: F11 attack-cyclic query, k = 12 key-conflict pairs");
-    println!("  (rewriting refused; CQA must fold over 2^12 = 4096 repairs)");
+    println!("  workload: F11 attack-cyclic query plus an R atom over another key,");
+    println!("  k = 12 key-conflict pairs: witnesses span the 12 conflict components,");
+    println!("  so CQA must fold the query over all 2^12 = 4096 product repairs");
 
     // The F11 hard instance at k = 12 conflicts: every conflict pair lives
     // in R (S stays consistent), so the repair family is exactly 2^k.
@@ -853,7 +854,11 @@ fn f15_budgets() {
     // rows (provable from the consistent core alone), 6 conflict pairs
     // whose *both* branches witness the query (certain, but only the full
     // fold proves it), and 6 pairs where one branch kills the answer (not
-    // certain). Exact = 9 answers; the truncated core fallback = 3.
+    // certain). Exact = 9 answers; the truncated core fallback = 3. The
+    // query's extra `R(u, v), u != x` atom holds in every repair (the clean
+    // rows supply it) but joins each witness to tuples of other
+    // components; without it the component fold would answer exactly from
+    // one witness scan and no budget would ever cut it.
     let k = 12usize;
     let mut db = Database::new();
     db.create_relation(RelationSchema::new("R", ["A", "B"]))
@@ -878,7 +883,7 @@ fn f15_budgets() {
         KeyConstraint::new("R", ["A"]),
         KeyConstraint::new("S", ["A"]),
     ]);
-    let q = UnionQuery::single(parse_query("Q(x) :- R(x, y), S(y, x)").unwrap());
+    let q = UnionQuery::single(parse_query("Q(x) :- R(x, y), S(y, x), R(u, v), u != x").unwrap());
     let class = RepairClass::Subset;
 
     println!("  budget            | outcome            | answers | time (ms)");
@@ -947,26 +952,18 @@ fn f16_components() {
     println!("----------------------------------------------------------------------");
     println!("  m independent key groups of 4 (plus 20 clean rows): the conflict");
     println!("  graph has m components, the repair family is the 4^m cross-product.");
-    println!("  The monolithic fold (sequential path, forced by a step budget)");
-    println!("  touches every product repair; the factored fold touches 4m views.");
+    println!("  The monolithic reference (unbudgeted consistent_answers) folds the");
+    println!("  query over every product repair; the factored fold slices one");
+    println!("  witness scan over the 4m component-local repairs.");
     println!("  m | components | product | factored | monolithic (ms) | factored (ms) | speedup | equal | 1/2/8-thread identical");
     let q = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
     let class = RepairClass::Subset;
     for m in 1usize..=6 {
         let (db, sigma) = key_conflict_instance(20, m, 4, 1);
-        // Monolithic oracle: a (generous) step budget forces the legacy
-        // sequential enumeration-and-fold over the full cross-product.
-        let (mono, t_mono) = timed(|| {
-            cqa_core::consistent_answers_budgeted(
-                &db,
-                &sigma,
-                &q,
-                &class,
-                &Budget::steps(1_000_000_000),
-            )
-            .unwrap()
-        });
-        assert!(mono.truncation().is_none(), "monolithic oracle truncated");
+        // Monolithic oracle: the unbudgeted reference entry folds the
+        // query over the full cross-product of repairs.
+        let (mono, t_mono) =
+            timed(|| cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap());
         let (fact, t_fact) = timed(|| {
             consistent_answers_factored_budgeted(&db, &sigma, &q, &class, &Budget::unlimited())
                 .unwrap()
@@ -974,7 +971,7 @@ fn f16_components() {
         });
         assert!(fact.truncation().is_none());
         let (answers, info) = fact.into_value();
-        let equal = &answers == mono.value();
+        let equal = answers == mono;
         let identical = [1usize, 2, 8].iter().all(|&t| {
             let got = with_threads(t, || {
                 consistent_answers_factored_budgeted(&db, &sigma, &q, &class, &Budget::unlimited())
@@ -1399,9 +1396,11 @@ fn f20_server() {
     );
     // Warm sessions ride the fleet-wide subplan cache. The key lookup above
     // is answered by the planner's polynomial path, so the demonstration
-    // uses a small fold-class tenant: possible answers enumerate a 2^6
-    // repair family, and the second ask replays it entirely from cache —
-    // /health exposes the hit/miss counters it just accrued.
+    // uses a small fold-class tenant and a query joining keys that share a
+    // value: its witnesses span components, so possible answers fold the
+    // query over the 2^6 product repairs, and the second ask replays them
+    // entirely from cache — /health exposes the hit/miss counters it just
+    // accrued.
     let (small_db, _) = key_conflict_instance(200, 6, 2, 9);
     let small_body = format!(
         "{{\"db\": {}, \"constraints\": {}}}",
@@ -1411,7 +1410,7 @@ fn f20_server() {
     let (status, reply) = f20_request(addr, "POST", "/sessions", &small_body);
     assert_eq!(status, 200, "{reply}");
     let fold_id = f20_session_id(&reply);
-    let fold_body = r#"{"query": "Q(x) :- T(x, y)", "kind": "possible"}"#;
+    let fold_body = r#"{"query": "Q(x) :- T(x, y), T(z, y), x != z", "kind": "possible"}"#;
     for _ in 0..2 {
         let (status, reply) = f20_request(
             addr,
@@ -1434,10 +1433,12 @@ fn f20_server() {
     println!("  subplan cache after warm re-asks: {cache_json}");
 
     // Graceful degradation: a 2^14-repair tenant with a 60 ms deadline on
-    // cardinality-class certain answers. Every reply must come back
-    // promptly as a 200 whose body carries the deadline truncation; the
-    // slack on the bound covers the expansion's post-deadline teardown
-    // (dropping the expanded prefix), not open-ended computation.
+    // cardinality-class certain answers for keys that share a value. Those
+    // witnesses span components, so the fold runs over the lazy product
+    // and the deadline cuts it. Every reply must come back promptly as a
+    // 200 whose body carries the deadline truncation; the slack on the
+    // bound covers the last parallel chunk in flight when the clock fires,
+    // not open-ended computation.
     let (hard, _s) = key_conflict_instance(200, 14, 2, 3);
     let hard_body = format!(
         "{{\"db\": {}, \"constraints\": {}}}",
@@ -1449,7 +1450,7 @@ fn f20_server() {
     let hard_id = f20_session_id(&reply);
     let timeout_ms = 60u64;
     let deadline_query = format!(
-        "{{\"query\": \"Q(x) :- T(x, y)\", \"class\": \"cardinality\", \"timeout_ms\": {timeout_ms}}}"
+        "{{\"query\": \"Q(x) :- T(x, y), T(z, y), x != z\", \"class\": \"cardinality\", \"timeout_ms\": {timeout_ms}}}"
     );
     // 2 untimed warmups (first-touch lazy artifacts), then 56 timed
     // queries: with nearest-rank p99 that index is the second-largest
@@ -1513,7 +1514,9 @@ fn f20_server() {
     for &id in &storm_ids {
         let tx = tx.clone();
         let spawned = stormers.spawn("f20-storm-client", move || {
-            let body = r#"{"query": "Q(x) :- T(x, y)", "class": "cardinality", "timeout_ms": 250}"#;
+            // The degradation block's spanning query: heavy enough to hold
+            // a permit for its whole 250 ms deadline.
+            let body = r#"{"query": "Q(x) :- T(x, y), T(z, y), x != z", "class": "cardinality", "timeout_ms": 250}"#;
             // One keep-alive connection per client: a 429 must leave the
             // connection usable for the retry.
             let mut client = F20Client::connect(addr2);
@@ -1586,7 +1589,8 @@ fn f20_server() {
         (
             "POST",
             "/sessions/1/query".to_string(),
-            r#"{"query": "Q(x) :- T(x, y)", "class": "cardinality", "budget_steps": 3}"#.to_string(),
+            r#"{"query": "Q(x) :- T(x, y), T(z, y), x != z", "class": "cardinality", "budget_steps": 3}"#
+                .to_string(),
         ),
         (
             "POST",

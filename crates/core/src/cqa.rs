@@ -20,15 +20,19 @@
 
 // audit:exponential — folds over the (worst-case exponential) repair family; every search loop must thread a Budget.
 use crate::attr_repair::attribute_repairs;
-use crate::crepair::{c_repairs_arc, c_repairs_budgeted};
-use crate::factored::{FactoredRepairSet, Factorization};
+use crate::crepair::{c_repairs_arc, c_repairs_budgeted, denial_class_c_repairs};
+use crate::factored::{Factorization, ProductDeltas};
 use crate::repair::Repair;
-use crate::srepair::{s_repairs_budgeted, s_repairs_with_arc, RepairOptions};
-use cqa_constraints::ConstraintSet;
+use crate::srepair::{
+    denial_class_s_repairs, s_repairs_budgeted, s_repairs_with_arc, RepairOptions,
+};
+use cqa_constraints::{ConflictComponents, ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
+use cqa_query::eval::{answer_key, for_each_witness_vids, resolve_answer};
 use cqa_query::{eval_aggregate, eval_ucq, AggregateQuery, NullSemantics, UnionQuery};
-use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value};
-use std::collections::BTreeSet;
+use cqa_relation::fxhash::WordHashMap;
+use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value, Vid};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Which class of repairs CQA quantifies over.
@@ -419,6 +423,14 @@ fn deletion_only_semantics(sigma: &ConstraintSet, class: &RepairClass) -> bool {
     }
 }
 
+/// Is the repair family a product of per-component families over the
+/// frozen core? True for denial-class Σ under the deletion-based classes
+/// (S, S-deletions-only, C): every repair deletes one hitting set of the
+/// conflict hyper-graph, which splits per connected component.
+fn factorable(sigma: &ConstraintSet, class: &RepairClass) -> bool {
+    !matches!(class, RepairClass::AttributeNull) && sigma.is_denial_class()
+}
+
 /// The sound **under-approximation** of the certain answers used whenever a
 /// budget cuts certain-answer evaluation short: evaluate `query` over the
 /// consistent core of `db` (the tuples free of any conflict). For
@@ -426,7 +438,7 @@ fn deletion_only_semantics(sigma: &ConstraintSet, class: &RepairClass) -> bool {
 /// query, `Q(core) ⊆ Q(D')` for *every* repair `D'` — hence
 /// `Q(core) ⊆ Cons(Q, D, Σ)`. When that argument does not apply (tgds, a
 /// non-monotone query), the fallback is the empty set, which is trivially
-/// sound.
+/// sound. `graph`, when given, is the conflict hyper-graph of `base`.
 ///
 /// Note the naive alternative — intersecting `Q` over the repairs explored
 /// so far — is *not* sound for certain answers: dropping repairs from an
@@ -437,6 +449,7 @@ fn core_certain_fallback(
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
+    graph: Option<&ConflictHypergraph>,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let applicable = matches!(
         class,
@@ -446,7 +459,10 @@ fn core_certain_fallback(
     if !applicable {
         return Ok(BTreeSet::new());
     }
-    let core = sigma.conflict_hypergraph(&**base)?.isolated_nodes();
+    let core = match graph {
+        Some(g) => g.isolated_nodes(),
+        None => sigma.conflict_hypergraph(&**base)?.isolated_nodes(),
+    };
     let deleted: BTreeSet<Tid> = base.tids().difference(&core).copied().collect();
     let core_view = Repair::from_delta_arc(base, deleted, Vec::new())?;
     let cache_on = cqa_exec::plan_cache_enabled();
@@ -474,44 +490,37 @@ fn possible_fallback<F: Facts>(
     }
 }
 
-/// Enumerate the chosen repair class under a budget. The attribute-null
-/// class is not yet metered during enumeration (its repair space is tamed
-/// by per-cell minimality rather than search); the query-evaluation fold on
-/// top of it still honours deadlines.
+/// Enumerate the chosen repair class under a budget, from `graph` (the
+/// conflict hyper-graph of `base`) when the caller has one. The
+/// attribute-null class is not yet metered during enumeration (its repair
+/// space is tamed by per-cell minimality rather than search); the
+/// query-evaluation fold on top of it still honours deadlines.
 fn repair_set_budgeted(
     base: &Arc<Database>,
     sigma: &ConstraintSet,
     class: &RepairClass,
+    graph: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<Outcome<RepairSet>, RelationError> {
-    match class {
-        RepairClass::Subset => {
-            Ok(
-                s_repairs_budgeted(base, sigma, &RepairOptions::default(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::SubsetDeletionsOnly => {
-            Ok(
-                s_repairs_budgeted(base, sigma, &RepairOptions::deletions_only(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::Cardinality => {
-            Ok(
-                c_repairs_budgeted(base, sigma, &RepairOptions::default(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::AttributeNull => {
+    let options = match class {
+        RepairClass::SubsetDeletionsOnly => RepairOptions::deletions_only(),
+        _ => RepairOptions::default(),
+    };
+    let repairs = match (class, graph) {
+        (RepairClass::AttributeNull, _) => {
             let dbs: Vec<Database> = attribute_repairs(base, sigma)?
                 .into_iter()
                 .map(|r| r.db)
                 .collect();
             let n = dbs.len() as u64;
-            Ok(budget.outcome_with(RepairSet::Materialized(dbs), n))
+            return Ok(budget.outcome_with(RepairSet::Materialized(dbs), n));
         }
-    }
+        (RepairClass::Cardinality, Some(g)) => denial_class_c_repairs(base, g, &options, budget)?,
+        (RepairClass::Cardinality, None) => c_repairs_budgeted(base, sigma, &options, budget)?,
+        (_, Some(g)) => denial_class_s_repairs(base, g, &options, budget)?,
+        (_, None) => s_repairs_budgeted(base, sigma, &options, budget)?,
+    };
+    Ok(repairs.map(RepairSet::Delta))
 }
 
 /// Budget-aware intersection fold. Returns `None` when the budget fired
@@ -602,201 +611,258 @@ fn possible_over_budgeted<F: Facts>(
 // ---------------------------------------------------------------------------
 // Conflict-component factorization (§4.1 + Lopatenko–Bertossi locality).
 //
-// When Σ is denial-class, the repair family is the cross-product of
-// independent per-component families over the frozen core. The folds below
-// exploit that: if no query witness spans two conflict components, certain
-// and possible answers decompose as
+// When Σ is denial-class, every repair of a deletion-based class is the
+// frozen core plus one independent local deletion set `h` per conflict
+// component `c`. A witness of a monotone query survives in a repair exactly
+// when none of its tuples is deleted. So if no witness of Q over D touches
+// two components, write A(c,h) for the answers of the witnesses that touch
+// `c` and avoid `h`: then Q(core ∪ comp_c ∖ h) = Q(core) ∪ A(c,h), and
 //
-//   certain  = Q(core) ∪ ⋃_c ⋂_{h ∈ family_c} Q(view_{c,h})
-//   possible = Q(core) ∪ ⋃_c ⋃_{h ∈ family_c} Q(view_{c,h})
+//   certain  = Q(core) ∪ ⋃_c ⋂_{h ∈ family_c} A(c,h)
+//   possible = Q(core) ∪ ⋃_c ⋃_{h ∈ family_c} A(c,h)
 //
-// where `view_{c,h}` keeps the core plus component `c` minus the local
-// deletion set `h` (every *other* component's conflicted tuples deleted —
-// the most destructive completion, a sub-instance of every repair choosing
-// `h` for `c`, which is what makes the fold sound for monotone queries).
-// That is `Σ_c |family_c|` query evaluations instead of `∏_c |family_c|`.
-// When a witness does span components (or the query is non-monotone), the
-// fold degrades gracefully to streaming over the *lazy* cross-product — the
-// same set of repairs as the monolithic fold, never materialized as a list.
+// Both are set operations over the witnesses of *one* scan of Q over D,
+// sliced by component — no query evaluation per repair (CAvSAT computes
+// the witnesses once in the same way). When a witness does span two
+// components (or the query is non-monotone), the fold degrades to
+// streaming over the *lazy* cross-product — the same set of repairs as the
+// monolithic fold, never materialized as a list.
 // ---------------------------------------------------------------------------
 
-/// Does any witness of `query` over the full instance touch tuples of two
-/// different conflict components? Sound for the factored fold's purposes:
-/// repairs are sub-instances of `base` (deletion-only semantics), so every
-/// witness inside a repair is a witness over `base`; if none of those spans
-/// two components, the per-component decomposition applies.
-fn query_spans_components(
-    base: &Database,
-    query: &UnionQuery,
-    components: &cqa_constraints::ConflictComponents,
-) -> bool {
-    let index = components.component_index();
-    query.disjuncts.iter().any(|cq| {
-        let mut spanning = false;
-        cqa_query::for_each_witness(base, cq, NullSemantics::Sql, &mut |w| {
-            let mut seen: Option<usize> = None;
-            for tid in &w.tids {
-                // Frozen-core tuples belong to every repair; ignore them.
-                let Some(&c) = index.get(tid) else { continue };
-                match seen {
-                    None => seen = Some(c),
-                    Some(prev) if prev != c => {
-                        spanning = true;
-                        return false; // stop the witness scan
+/// Which side of CQA a fold computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// Certain answers: the intersection over repairs.
+    Certain,
+    /// Possible answers: the union over repairs.
+    Possible,
+}
+
+/// The witnesses of a monotone query over the whole instance, sliced by
+/// conflict component. Answers are ids into `answers`.
+struct WitnessSlices {
+    /// `Q(core)`: the answers of witnesses inside the frozen core.
+    core: BTreeSet<usize>,
+    /// Per component (canonical order), the distinct `(conflicted tids,
+    /// answer)` pairs of the witnesses touching it.
+    slices: Vec<BTreeSet<(Vec<Tid>, usize)>>,
+    /// The distinct null-free answers, in `Tuple` order.
+    answers: Vec<Tuple>,
+    /// Witnesses the scan visited.
+    witnesses: usize,
+}
+
+impl WitnessSlices {
+    /// Scan the witnesses of `query` over `db` once, in id space, and slice
+    /// them by component. `None` when some witness touches two components.
+    /// Answer keys stay vids until the scan is done; each distinct key is
+    /// then resolved once and the answers sorted, so vid order never
+    /// reaches the output.
+    fn scan(
+        db: &Database,
+        query: &UnionQuery,
+        components: &ConflictComponents,
+    ) -> Option<WitnessSlices> {
+        type Key = (usize, Vec<Vid>); // (disjunct, head vids)
+        let index = components.component_index();
+        let mut witnesses = 0usize;
+        let mut core: BTreeSet<Key> = BTreeSet::new();
+        let mut sliced: Vec<BTreeSet<(Vec<Tid>, Key)>> =
+            vec![BTreeSet::new(); components.components.len()];
+        for (d, cq) in query.disjuncts.iter().enumerate() {
+            let mut spanning = false;
+            for_each_witness_vids(db, cq, NullSemantics::Sql, &mut |bindings, tids| {
+                witnesses += 1;
+                let Some(key) = answer_key(cq, bindings) else {
+                    return true; // unbound head variable: no answer
+                };
+                // Frozen-core tuples belong to every repair; only the
+                // conflicted ones decide where the witness survives.
+                let mut touched: Vec<(usize, Tid)> = tids
+                    .iter()
+                    .filter_map(|t| index.get(t).map(|&c| (c, *t)))
+                    .collect();
+                touched.sort_unstable();
+                touched.dedup();
+                match touched.first() {
+                    None => {
+                        core.insert((d, key));
                     }
-                    Some(_) => {}
+                    Some(&(c, _)) if touched.iter().all(|&(o, _)| o == c) => {
+                        if let Some(slice) = sliced.get_mut(c) {
+                            slice.insert((touched.into_iter().map(|(_, t)| t).collect(), (d, key)));
+                        }
+                    }
+                    Some(_) => {
+                        spanning = true;
+                        return false; // stop the scan
+                    }
+                }
+                true
+            });
+            if spanning {
+                return None;
+            }
+        }
+        // Resolve each distinct key once. Under SQL semantics an answer
+        // containing a null is never returned, so it is dropped here with
+        // all of its witnesses.
+        let mut cache = WordHashMap::default();
+        let mut resolved: BTreeMap<&Key, Tuple> = BTreeMap::new();
+        for key in core.iter().chain(sliced.iter().flatten().map(|(_, k)| k)) {
+            if resolved.contains_key(key) {
+                continue;
+            }
+            let answer = query
+                .disjuncts
+                .get(key.0)
+                .and_then(|cq| resolve_answer(db, cq, &key.1, &mut cache))
+                .filter(|t| !t.has_null());
+            if let Some(t) = answer {
+                resolved.insert(key, t);
+            }
+        }
+        let answers: Vec<Tuple> = resolved
+            .values()
+            .cloned()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let id = |key: &Key| {
+            resolved
+                .get(key)
+                .and_then(|t| answers.binary_search(t).ok())
+        };
+        let core = core.iter().filter_map(id).collect();
+        let slices = sliced
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .filter_map(|(tids, key)| Some((tids.clone(), id(key)?)))
+                    .collect()
+            })
+            .collect();
+        Some(WitnessSlices {
+            core,
+            slices,
+            answers,
+            witnesses,
+        })
+    }
+
+    /// Resolve answer ids.
+    fn tuples(&self, ids: impl IntoIterator<Item = usize>) -> BTreeSet<Tuple> {
+        ids.into_iter()
+            .filter_map(|id| self.answers.get(id).cloned())
+            .collect()
+    }
+
+    /// Fold one side over the component families (canonical order):
+    /// `Q(core)` plus, per component, the intersection (certain) or union
+    /// (possible) of `A(c,h)` over its local deletion sets `h`. `None` when
+    /// the budget fired mid-fold.
+    fn fold(
+        &self,
+        families: &[Vec<BTreeSet<Tid>>],
+        side: Side,
+        budget: &Budget,
+    ) -> Option<BTreeSet<Tuple>> {
+        let sequential = budget.forces_sequential();
+        let mut out = self.core.clone();
+        for (family, slice) in families.iter().zip(&self.slices) {
+            // A logical budget ticks once per component-local repair in
+            // canonical order, so the cut point is schedule-independent;
+            // other budgets read the clock once per component.
+            if !sequential && !budget.check_deadline() {
+                return None;
+            }
+            let mut acc: Option<BTreeSet<usize>> = None;
+            for h in family {
+                if sequential && !budget.tick() {
+                    return None;
+                }
+                // A(c,h): the answers of this component's witnesses none of
+                // whose tuples `h` deletes.
+                let here = slice
+                    .iter()
+                    .filter(|(tids, _)| tids.iter().all(|t| !h.contains(t)))
+                    .map(|&(_, a)| a);
+                let merged = match (side, acc.take()) {
+                    (_, None) => here.collect(),
+                    (Side::Certain, Some(mut a)) => {
+                        let here: BTreeSet<usize> = here.collect();
+                        a.retain(|x| here.contains(x));
+                        a
+                    }
+                    (Side::Possible, Some(mut a)) => {
+                        a.extend(here);
+                        a
+                    }
+                };
+                // Certain: once Q(core) ∪ acc is empty, no later local
+                // repair of this component can add to it.
+                let done = side == Side::Certain && merged.is_empty() && self.core.is_empty();
+                acc = Some(merged);
+                if done {
+                    break;
                 }
             }
-            true
-        });
-        spanning
-    })
+            out.extend(acc.into_iter().flatten());
+        }
+        Some(self.tuples(out))
+    }
 }
 
 /// `Q(core)` — the factored sibling of [`core_certain_fallback`], reusing
 /// the already-computed factorization instead of re-deriving the isolated
 /// nodes. Empty for non-monotone queries (same soundness argument).
 fn factored_core_answers(
-    fx: &FactoredRepairSet,
+    db: &Database,
+    components: &ConflictComponents,
     query: &UnionQuery,
-) -> Result<BTreeSet<Tuple>, RelationError> {
+) -> BTreeSet<Tuple> {
     if !is_monotone(query) {
-        return Ok(BTreeSet::new());
+        return BTreeSet::new();
     }
-    let core = Repair::from_delta_arc(fx.base(), fx.conflicted(), Vec::new())?;
-    let cache_on = cqa_exec::plan_cache_enabled();
-    Ok((*sql_answers(&core.view(), query, cache_on)).clone())
-}
-
-/// The component-local views for one family, in family order.
-fn component_views(
-    fx: &FactoredRepairSet,
-    comp: usize,
-    family: &[BTreeSet<Tid>],
-) -> Result<Vec<Repair>, RelationError> {
-    family
+    let conflicted: BTreeSet<Tid> = components
+        .components
         .iter()
-        .map(|h| Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new()))
-        .collect()
-}
-
-/// Per-component certain fold (monotone, non-spanning case). `None` when
-/// the budget fired mid-fold (caller substitutes the core fallback).
-fn factored_component_certain(
-    fx: &FactoredRepairSet,
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut certain = factored_core_answers(fx, query)?;
-    let cache_on = cqa_exec::plan_cache_enabled();
-    for (comp, family) in fx.families().families.iter().enumerate() {
-        let acc = if budget.forces_sequential() {
-            // One tick per local view in canonical order: the cut point is
-            // schedule-independent, like the monolithic sequential fold.
-            let mut acc: Option<BTreeSet<Tuple>> = None;
-            for h in family {
-                if !budget.tick() {
-                    return Ok(None);
-                }
-                let view =
-                    Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new())?;
-                let here = sql_answers(&view.view(), query, cache_on);
-                match &mut acc {
-                    None => acc = Some((*here).clone()),
-                    Some(a) => a.retain(|t| here.contains(t)),
-                }
-                if acc.as_ref().is_some_and(BTreeSet::is_empty) {
-                    break;
-                }
-            }
-            acc
-        } else {
-            if !budget.check_deadline() {
-                return Ok(None);
-            }
-            let reps = component_views(fx, comp, family)?;
-            let mut sets =
-                cqa_exec::par_map(&views(&reps), |v| sql_answers(v, query, cache_on)).into_iter();
-            let mut acc = sets.next().map(|s| (*s).clone());
-            if let Some(a) = &mut acc {
-                for here in sets {
-                    a.retain(|t| here.contains(t));
-                    if a.is_empty() {
-                        break;
-                    }
-                }
-            }
-            acc
-        };
-        if let Some(a) = acc {
-            certain.extend(a);
-        }
-    }
-    Ok(Some(certain))
-}
-
-/// Per-component possible fold (monotone, non-spanning case).
-fn factored_component_possible(
-    fx: &FactoredRepairSet,
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut out = factored_core_answers(fx, query)?;
-    let cache_on = cqa_exec::plan_cache_enabled();
-    for (comp, family) in fx.families().families.iter().enumerate() {
-        if budget.forces_sequential() {
-            for h in family {
-                if !budget.tick() {
-                    return Ok(None);
-                }
-                let view =
-                    Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new())?;
-                out.extend(sql_answers(&view.view(), query, cache_on).iter().cloned());
-            }
-        } else {
-            if !budget.check_deadline() {
-                return Ok(None);
-            }
-            let reps = component_views(fx, comp, family)?;
-            for here in cqa_exec::par_map(&views(&reps), |v| sql_answers(v, query, cache_on)) {
-                out.extend(here.iter().cloned());
-            }
-        }
-    }
-    Ok(Some(out))
+        .flat_map(|c| c.tids().iter().copied())
+        .collect();
+    let core = DeltaView::new(db, &conflicted, &[]);
+    (*sql_answers(&core, query, cqa_exec::plan_cache_enabled())).clone()
 }
 
 /// Certain fold over the **lazy** cross-product (spanning / non-monotone
 /// case): the same repair family as the monolithic fold, streamed from the
-/// odometer iterator, never stored.
+/// odometer iterator, never stored. `None` when the budget fired mid-fold.
 fn factored_product_certain(
-    fx: &FactoredRepairSet,
+    db: &Database,
+    mut deltas: ProductDeltas<'_>,
     query: &UnionQuery,
     budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut deltas = fx.deltas();
+) -> Option<BTreeSet<Tuple>> {
     let Some(first) = deltas.next() else {
-        return Ok(Some(BTreeSet::new()));
+        return Some(BTreeSet::new());
     };
     if !budget.tick() {
-        return Ok(None);
+        return None;
     }
     let cache_on = cqa_exec::plan_cache_enabled();
-    let first = Repair::from_delta_arc(fx.base(), first, Vec::new())?;
-    let mut acc: BTreeSet<Tuple> = (*sql_answers(&first.view(), query, cache_on)).clone();
+    let answers = |d: &BTreeSet<Tid>| sql_answers(&DeltaView::new(db, d, &[]), query, cache_on);
+    let mut acc: BTreeSet<Tuple> = (*answers(&first)).clone();
     if budget.forces_sequential() {
         for delta in deltas {
             if acc.is_empty() {
                 break;
             }
             if !budget.tick() {
-                return Ok(None);
+                return None;
             }
-            let view = Repair::from_delta_arc(fx.base(), delta, Vec::new())?;
-            let here = sql_answers(&view.view(), query, cache_on);
+            let here = answers(&delta);
             acc.retain(|t| here.contains(t));
         }
-        return Ok(Some(acc));
+        return Some(acc);
     }
     let chunk = cqa_exec::threads() * 8;
     loop {
@@ -804,144 +870,118 @@ fn factored_product_certain(
             break;
         }
         if !budget.check_deadline() {
-            return Ok(None);
+            return None;
         }
-        let batch: Vec<Repair> = deltas
-            .by_ref()
-            .take(chunk)
-            .map(|d| Repair::from_delta_arc(fx.base(), d, Vec::new()))
-            .collect::<Result<_, _>>()?;
+        let batch: Vec<BTreeSet<Tid>> = deltas.by_ref().take(chunk).collect();
         if batch.is_empty() {
             break;
         }
-        let sets = cqa_exec::par_map(&views(&batch), |v| sql_answers(v, query, cache_on));
-        for here in &sets {
+        for here in &cqa_exec::par_map(&batch, answers) {
             acc.retain(|t| here.contains(t));
         }
     }
-    Ok(Some(acc))
+    Some(acc)
 }
 
 /// Possible fold over the lazy cross-product.
 fn factored_product_possible(
-    fx: &FactoredRepairSet,
+    db: &Database,
+    mut deltas: ProductDeltas<'_>,
     query: &UnionQuery,
     budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut deltas = fx.deltas();
+) -> Option<BTreeSet<Tuple>> {
     let mut out = BTreeSet::new();
     let cache_on = cqa_exec::plan_cache_enabled();
+    let answers = |d: &BTreeSet<Tid>| sql_answers(&DeltaView::new(db, d, &[]), query, cache_on);
     if budget.forces_sequential() {
         for delta in deltas {
             if !budget.tick() {
-                return Ok(None);
+                return None;
             }
-            let view = Repair::from_delta_arc(fx.base(), delta, Vec::new())?;
-            out.extend(sql_answers(&view.view(), query, cache_on).iter().cloned());
+            out.extend(answers(&delta).iter().cloned());
         }
-        return Ok(Some(out));
+        return Some(out);
     }
     let chunk = cqa_exec::threads() * 8;
     loop {
         if !budget.check_deadline() {
-            return Ok(None);
+            return None;
         }
-        let batch: Vec<Repair> = deltas
-            .by_ref()
-            .take(chunk)
-            .map(|d| Repair::from_delta_arc(fx.base(), d, Vec::new()))
-            .collect::<Result<_, _>>()?;
+        let batch: Vec<BTreeSet<Tid>> = deltas.by_ref().take(chunk).collect();
         if batch.is_empty() {
             break;
         }
-        for here in cqa_exec::par_map(&views(&batch), |v| sql_answers(v, query, cache_on)) {
+        for here in cqa_exec::par_map(&batch, answers) {
             out.extend(here.iter().cloned());
         }
     }
-    Ok(Some(out))
+    Some(out)
 }
 
-/// Factored certain answers over a pre-built conflict hyper-graph (whose
-/// component decomposition is cached on it). The caller guarantees `graph`
-/// was built from `base`'s instance, Σ is denial-class, and `class` is one
-/// of the deletion-only classes (S / S-deletions-only / C).
-pub(crate) fn factored_certain_with(
-    base: &Arc<Database>,
-    graph: &cqa_constraints::ConflictHypergraph,
+/// The factored fold of one side over `graph`, the conflict hyper-graph of
+/// `db`. The caller guarantees the factorization applies ([`factorable`]).
+/// Per-component families first; then the witness-slice fold, or the
+/// lazy-product fold when a witness spans components or the query is not
+/// monotone. On truncation, certain falls back to `Q(core)` and possible
+/// to `Q(D)` (both empty for a non-monotone query), with `explored`
+/// counting the components enumerated exactly.
+fn factored_with(
+    db: &Database,
+    graph: &ConflictHypergraph,
     query: &UnionQuery,
     class: &RepairClass,
+    side: Side,
     budget: &Budget,
-) -> Result<Outcome<(BTreeSet<Tuple>, Factorization)>, RelationError> {
-    let fx = match class {
-        RepairClass::Cardinality => FactoredRepairSet::enumerate_minimum(base, graph, budget),
-        _ => FactoredRepairSet::enumerate_minimal(base, graph, budget),
-    }
-    .into_value();
-    let explored = fx.families().exact_components();
-    if budget.exhausted() {
-        let fallback = factored_core_answers(&fx, query)?;
-        return Ok(budget.outcome_with((fallback, fx.factorization(false)), explored));
-    }
-    let spanning = !is_monotone(query) || query_spans_components(base, query, fx.components());
-    let info = fx.factorization(spanning);
-    let folded = if spanning {
-        factored_product_certain(&fx, query, budget)?
-    } else {
-        factored_component_certain(&fx, query, budget)?
+) -> FactoredAnswers {
+    let components = graph.components();
+    let families = match class {
+        RepairClass::Cardinality => {
+            components
+                .minimum_hitting_sets_factored(budget)
+                .into_value()
+                .1
+        }
+        _ => components
+            .minimal_hitting_sets_factored(budget)
+            .into_value(),
     };
-    match folded {
-        Some(acc) if !budget.exhausted() => Ok(Outcome::Exact((acc, info))),
-        _ => {
-            let fallback = factored_core_answers(&fx, query)?;
-            Ok(budget.outcome_with((fallback, info), explored))
-        }
-    }
-}
-
-/// Factored possible answers; same contract as [`factored_certain_with`].
-pub(crate) fn factored_possible_with(
-    base: &Arc<Database>,
-    graph: &cqa_constraints::ConflictHypergraph,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Outcome<(BTreeSet<Tuple>, Factorization)>, RelationError> {
-    let fx = match class {
-        RepairClass::Cardinality => FactoredRepairSet::enumerate_minimum(base, graph, budget),
-        _ => FactoredRepairSet::enumerate_minimal(base, graph, budget),
-    }
-    .into_value();
-    let explored = fx.families().exact_components();
-    // Truncation fallback: `Q(D)` is the sound over-approximation for a
-    // monotone query under deletion-only semantics; empty otherwise (the
-    // enumeration found nothing complete to union over).
-    let fallback = || -> BTreeSet<Tuple> {
-        if is_monotone(query) {
-            eval_ucq(&**base, query, NullSemantics::Sql)
-                .into_iter()
-                .filter(|t| !t.has_null())
-                .collect()
-        } else {
-            BTreeSet::new()
-        }
+    let explored = families.exact_components();
+    let fallback = |slices: Option<&WitnessSlices>| match (side, slices) {
+        (Side::Certain, Some(ws)) => ws.tuples(ws.core.iter().copied()),
+        (Side::Certain, None) => factored_core_answers(db, &components, query),
+        (Side::Possible, _) if is_monotone(query) => eval_ucq(db, query, NullSemantics::Sql)
+            .into_iter()
+            .filter(|t| !t.has_null())
+            .collect(),
+        (Side::Possible, _) => BTreeSet::new(),
     };
     if budget.exhausted() {
-        let value = fallback();
-        return Ok(budget.outcome_with((value, fx.factorization(false)), explored));
+        let info = Factorization::of(&components, &families, false, None);
+        return budget.outcome_with((fallback(None), info), explored);
     }
-    let spanning = !is_monotone(query) || query_spans_components(base, query, fx.components());
-    let info = fx.factorization(spanning);
-    let folded = if spanning {
-        factored_product_possible(&fx, query, budget)?
+    let slices = if is_monotone(query) {
+        WitnessSlices::scan(db, query, &components)
     } else {
-        factored_component_possible(&fx, query, budget)?
+        None
     };
-    match folded {
-        Some(out) if !budget.exhausted() => Ok(Outcome::Exact((out, info))),
-        _ => {
-            let value = fallback();
-            Ok(budget.outcome_with((value, info), explored))
+    let folded = match (&slices, side) {
+        (Some(ws), _) => ws.fold(&families.families, side, budget),
+        (None, Side::Certain) => {
+            factored_product_certain(db, ProductDeltas::over(&families.families), query, budget)
         }
+        (None, Side::Possible) => {
+            factored_product_possible(db, ProductDeltas::over(&families.families), query, budget)
+        }
+    };
+    let info = Factorization::of(
+        &components,
+        &families,
+        slices.is_none(),
+        slices.as_ref().map(|ws| ws.witnesses),
+    );
+    match folded {
+        Some(answers) if !budget.exhausted() => Outcome::Exact((answers, info)),
+        _ => budget.outcome_with((fallback(slices.as_ref()), info), explored),
     }
 }
 
@@ -951,9 +991,9 @@ pub type FactoredAnswers = Outcome<(BTreeSet<Tuple>, Factorization)>;
 
 /// Component-factorized [`consistent_answers_budgeted`]: `None` when the
 /// factorization does not apply (non-denial Σ or the attribute-null class),
-/// otherwise the certain answers plus the [`Factorization`] shape summary.
-/// The answers equal the monolithic fold's bit for bit whenever the outcome
-/// is exact.
+/// otherwise the certain answers plus the [`Factorization`] shape summary —
+/// at any component count. The answers equal the monolithic fold's bit for
+/// bit whenever the outcome is exact.
 pub fn consistent_answers_factored_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -961,14 +1001,18 @@ pub fn consistent_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
-    if matches!(class, RepairClass::AttributeNull) || !sigma.is_denial_class() {
+    if !factorable(sigma, class) {
         return Ok(None);
     }
-    let base = Arc::new(db.clone());
     let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_certain_with(
-        &base, &graph, query, class, budget,
-    )?))
+    Ok(Some(factored_with(
+        db,
+        &graph,
+        query,
+        class,
+        Side::Certain,
+        budget,
+    )))
 }
 
 /// Component-factorized [`possible_answers_budgeted`]; see
@@ -980,14 +1024,60 @@ pub fn possible_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
-    if matches!(class, RepairClass::AttributeNull) || !sigma.is_denial_class() {
+    if !factorable(sigma, class) {
         return Ok(None);
     }
-    let base = Arc::new(db.clone());
     let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_possible_with(
-        &base, &graph, query, class, budget,
-    )?))
+    Ok(Some(factored_with(
+        db,
+        &graph,
+        query,
+        class,
+        Side::Possible,
+        budget,
+    )))
+}
+
+/// A routed CQA result: the answer set, plus the [`Factorization`] when the
+/// factored route answered.
+pub(crate) type RoutedAnswers = Outcome<(BTreeSet<Tuple>, Option<Factorization>)>;
+
+/// The budgeted certain/possible route shared by
+/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`] and the
+/// planner's fallback. When the factorization applies ([`factorable`]) and
+/// the conflict hyper-graph has at least two components, the factored fold
+/// answers and its [`Factorization`] comes back; otherwise the monolithic
+/// fold over the enumerated repair class does. `prebuilt`, when given, is
+/// the conflict hyper-graph of `db`; either way the graph is built at most
+/// once per request.
+pub(crate) fn answers_budgeted(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: &RepairClass,
+    side: Side,
+    prebuilt: Option<&ConflictHypergraph>,
+    budget: &Budget,
+) -> Result<RoutedAnswers, RelationError> {
+    let owned;
+    let graph = match prebuilt {
+        _ if !factorable(sigma, class) => None,
+        Some(g) => Some(g),
+        None => {
+            owned = sigma.conflict_hypergraph(db)?;
+            Some(&owned)
+        }
+    };
+    if let Some(g) = graph.filter(|g| g.components().components.len() >= 2) {
+        let out = factored_with(db, g, query, class, side, budget);
+        return Ok(out.map(|(answers, shape)| (answers, Some(shape))));
+    }
+    let base = Arc::new(db.clone());
+    let answers = match side {
+        Side::Certain => certain_monolithic(&base, sigma, query, class, graph, budget)?,
+        Side::Possible => possible_monolithic(&base, sigma, query, class, graph, budget)?,
+    };
+    Ok(answers.map(|answers| (answers, None)))
 }
 
 /// Budget-aware [`consistent_answers`]: the anytime entry point.
@@ -996,7 +1086,9 @@ pub fn possible_answers_factored_budgeted(
 /// An [`Outcome::Truncated`] result is a **sound under-approximation** of
 /// the certain answers (possibly empty — see `core_certain_fallback` for
 /// when it is non-trivial); `explored` counts the repairs that were fully
-/// enumerated before the budget fired.
+/// enumerated before the budget fired, or on the factored route (denial
+/// Σ, a deletion-based class, two or more conflict components) the
+/// components enumerated exactly.
 pub fn consistent_answers_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -1004,15 +1096,27 @@ pub fn consistent_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
+    let out = answers_budgeted(db, sigma, query, class, Side::Certain, None, budget)?;
+    Ok(out.map(|(answers, _)| answers))
+}
+
+/// The monolithic certain fold over the enumerated repair class.
+fn certain_monolithic(
+    base: &Arc<Database>,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: &RepairClass,
+    graph: Option<&ConflictHypergraph>,
+    budget: &Budget,
+) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
+    let set = repair_set_budgeted(base, sigma, class, graph, budget)?;
     let explored = set.truncation().map(|(_, e)| e);
     let set = set.into_value();
     if budget.exhausted() {
         // Enumeration was cut: the explored repairs are only part of the
         // class, so intersecting over them would over-approximate. Discard
         // them for the certain side and answer from the core.
-        let fallback = core_certain_fallback(&base, sigma, query, class)?;
+        let fallback = core_certain_fallback(base, sigma, query, class, graph)?;
         return Ok(budget.outcome_with(fallback, explored.unwrap_or(set.len() as u64)));
     }
     let folded = match &set {
@@ -1022,7 +1126,7 @@ pub fn consistent_answers_budgeted(
     match folded {
         Some(acc) if !budget.exhausted() => Ok(Outcome::Exact(acc)),
         _ => {
-            let fallback = core_certain_fallback(&base, sigma, query, class)?;
+            let fallback = core_certain_fallback(base, sigma, query, class, graph)?;
             Ok(budget.outcome_with(fallback, set.len() as u64))
         }
     }
@@ -1034,7 +1138,7 @@ pub fn consistent_answers_budgeted(
 /// result is a **sound over-approximation** (`Q(D)`) whenever the repair
 /// semantics is deletion-only and the query monotone; otherwise it degrades
 /// to the union over the repairs explored so far — a lower bound, which is
-/// why the outcome tag matters.
+/// why the outcome tag matters. Routed like [`consistent_answers_budgeted`].
 pub fn possible_answers_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -1042,12 +1146,24 @@ pub fn possible_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
+    let out = answers_budgeted(db, sigma, query, class, Side::Possible, None, budget)?;
+    Ok(out.map(|(answers, _)| answers))
+}
+
+/// The monolithic possible fold over the enumerated repair class.
+fn possible_monolithic(
+    base: &Arc<Database>,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: &RepairClass,
+    graph: Option<&ConflictHypergraph>,
+    budget: &Budget,
+) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
+    let set = repair_set_budgeted(base, sigma, class, graph, budget)?;
     let set = set.into_value();
     let fallback = |set: &RepairSet| match set {
-        RepairSet::Delta(reps) => possible_fallback(&base, sigma, query, class, &views(reps)),
-        RepairSet::Materialized(dbs) => possible_fallback(&base, sigma, query, class, dbs),
+        RepairSet::Delta(reps) => possible_fallback(base, sigma, query, class, &views(reps)),
+        RepairSet::Materialized(dbs) => possible_fallback(base, sigma, query, class, dbs),
     };
     if budget.exhausted() {
         let value = fallback(&set);
@@ -1079,7 +1195,7 @@ pub fn cqa_report_budgeted(
     budget: &Budget,
 ) -> Result<Outcome<CqaReport>, RelationError> {
     let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
+    let set = repair_set_budgeted(&base, sigma, class, None, budget)?;
     let set = set.into_value();
     let repair_count = set.len();
     let build = |certain: BTreeSet<Tuple>, possible: BTreeSet<Tuple>| CqaReport {
@@ -1088,7 +1204,7 @@ pub fn cqa_report_budgeted(
         possible,
     };
     let truncated_report = |set: &RepairSet| -> Result<CqaReport, RelationError> {
-        let certain = core_certain_fallback(&base, sigma, query, class)?;
+        let certain = core_certain_fallback(&base, sigma, query, class, None)?;
         let possible = match set {
             RepairSet::Delta(reps) => possible_fallback(&base, sigma, query, class, &views(reps)),
             RepairSet::Materialized(dbs) => possible_fallback(&base, sigma, query, class, dbs),
@@ -1424,6 +1540,7 @@ mod tests {
                 assert_eq!(fact, mono, "class {class:?}");
                 assert_eq!(info.components, 2);
                 assert!(!info.spanning, "single-atom witnesses never span");
+                assert!(info.witnesses.is_some(), "the witness-slice fold ran");
                 let mono_p = possible_answers(&db, &sigma, &q, &class).unwrap();
                 let (fact_p, _) = possible_answers_factored_budgeted(
                     &db,
@@ -1460,6 +1577,7 @@ mod tests {
         .unwrap()
         .into_value();
         assert!(info.spanning);
+        assert_eq!(info.witnesses, None);
         assert_eq!(fact, mono);
         let mono_p = possible_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         let (fact_p, _) = possible_answers_factored_budgeted(

@@ -6,9 +6,9 @@
 //! `cqa-constraints` avoids enumerating all S-repairs first.
 
 // audit:exponential — minimum-cardinality search over the repair lattice; every search loop must thread a Budget.
-use crate::repair::Repair;
+use crate::repair::{sort_by_delta, Repair};
 use crate::srepair::{s_repairs_budgeted, RepairOptions};
-use cqa_constraints::ConstraintSet;
+use cqa_constraints::{ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
 use cqa_relation::{Database, RelationError};
 use std::sync::Arc;
@@ -66,30 +66,7 @@ pub fn c_repairs_budgeted(
 ) -> Result<Outcome<Vec<Repair>>, RelationError> {
     if sigma.is_denial_class() {
         let graph = sigma.conflict_hypergraph(&**db)?;
-        // Factored path: per-component minimum hitting sets (each later size
-        // proof seeded by nothing — they are independent — but enumeration
-        // runs at the proven size directly), crossed only at the end. The
-        // global minima are exactly those products, so output is
-        // byte-identical. Same gate rationale as `denial_class_s_repairs`.
-        if options.limit.is_none()
-            && !budget.forces_sequential()
-            && graph.components().components.len() >= 2
-        {
-            let factored =
-                crate::factored::FactoredRepairSet::enumerate_minimum(db, &graph, budget);
-            let repairs = factored.value().expand_budgeted(budget)?;
-            let explored = repairs.len() as u64;
-            return Ok(budget.outcome_with(repairs, explored));
-        }
-        let hitting_sets = graph.minimum_hitting_sets_budgeted(budget);
-        let explored = hitting_sets.value().len() as u64;
-        let mut out: Vec<Repair> = hitting_sets
-            .into_value()
-            .into_iter()
-            .map(|hs| Repair::from_delta_arc(db, hs, Vec::new()))
-            .collect::<Result<_, _>>()?;
-        out.sort_by(|a, b| a.delta().cmp(b.delta()));
-        return Ok(budget.outcome_with(out, explored));
+        return denial_class_c_repairs(db, &graph, options, budget);
     }
     let all = s_repairs_budgeted(
         db,
@@ -105,6 +82,39 @@ pub fn c_repairs_budgeted(
     let min = all.iter().map(Repair::delta_size).min().unwrap_or(0);
     let filtered: Vec<Repair> = all.into_iter().filter(|r| r.delta_size() == min).collect();
     Ok(budget.outcome_with(filtered, explored))
+}
+
+/// The denial-class path: minimum hitting sets of `graph`, the conflict
+/// hyper-graph of `db`. Sorted by delta.
+pub(crate) fn denial_class_c_repairs(
+    db: &Arc<Database>,
+    graph: &ConflictHypergraph,
+    options: &RepairOptions,
+    budget: &Budget,
+) -> Result<Outcome<Vec<Repair>>, RelationError> {
+    // Factored path: per-component minimum hitting sets (each later size
+    // proof seeded by nothing — they are independent — but enumeration
+    // runs at the proven size directly), crossed only at the end. The
+    // global minima are exactly those products, so output is
+    // byte-identical. Same gate rationale as `denial_class_s_repairs`.
+    if options.limit.is_none()
+        && !budget.forces_sequential()
+        && graph.components().components.len() >= 2
+    {
+        let factored = crate::factored::FactoredRepairSet::enumerate_minimum(db, graph, budget);
+        let repairs = factored.value().expand_budgeted(budget)?;
+        let explored = repairs.len() as u64;
+        return Ok(budget.outcome_with(repairs, explored));
+    }
+    let hitting_sets = graph.minimum_hitting_sets_budgeted(budget);
+    let explored = hitting_sets.value().len() as u64;
+    let mut out: Vec<Repair> = hitting_sets
+        .into_value()
+        .into_iter()
+        .map(|hs| Repair::from_delta_arc(db, hs, Vec::new()))
+        .collect::<Result<_, _>>()?;
+    sort_by_delta(&mut out);
+    Ok(budget.outcome_with(out, explored))
 }
 
 /// The minimum number of changes needed to restore consistency

@@ -17,8 +17,10 @@
 //!   tree.
 //!
 //! The component-aware certain/possible folds in [`crate::cqa`] avoid even
-//! the lazy iteration when no query witness spans two components, folding
-//! `Σ_c |family_c|` views instead of `∏_c |family_c|` repairs.
+//! the lazy iteration when no query witness spans two components: one scan
+//! of the query's witnesses, sliced by component, is folded over the
+//! `Σ_c |family_c|` local deletion sets instead of evaluating the query
+//! over `∏_c |family_c|` repairs.
 
 // audit:exponential — per-component repair families multiply out; every search loop must thread a Budget.
 use crate::repair::Repair;
@@ -44,6 +46,29 @@ pub struct Factorization {
     /// Did some query witness span two components, forcing the fold back
     /// onto (lazy) product iteration?
     pub spanning: bool,
+    /// Witnesses of the query over the whole instance that the component
+    /// fold sliced, when that fold ran; `None` when the answers came from
+    /// the lazy product, or from a fallback before any fold.
+    pub witnesses: Option<usize>,
+}
+
+impl Factorization {
+    /// The shape of `families` over `components`.
+    pub(crate) fn of(
+        components: &ConflictComponents,
+        families: &FactoredFamilies,
+        spanning: bool,
+        witnesses: Option<usize>,
+    ) -> Factorization {
+        Factorization {
+            components: components.components.len(),
+            largest: components.largest_component(),
+            factored_repairs: families.factored_len(),
+            product_repairs: families.product_len(),
+            spanning,
+            witnesses,
+        }
+    }
 }
 
 /// A repair family in factored form: frozen core + one deletion family per
@@ -110,16 +135,6 @@ impl FactoredRepairSet {
         &self.families
     }
 
-    /// Every conflicted tid (union of all component tid sets) — the
-    /// complement of the frozen core within the graph's nodes.
-    pub fn conflicted(&self) -> BTreeSet<Tid> {
-        self.components
-            .components
-            .iter()
-            .flat_map(|c| c.tids().iter().copied())
-            .collect()
-    }
-
     /// Number of components.
     pub fn component_count(&self) -> usize {
         self.components.components.len()
@@ -137,44 +152,14 @@ impl FactoredRepairSet {
 
     /// The shape summary for diagnostics.
     pub fn factorization(&self, spanning: bool) -> Factorization {
-        Factorization {
-            components: self.component_count(),
-            largest: self.components.largest_component(),
-            factored_repairs: self.factored_len(),
-            product_repairs: self.product_len(),
-            spanning,
-        }
-    }
-
-    /// The global deletion set for choosing local delta `local` in component
-    /// `comp` **and deleting every other component's conflicted tuples** —
-    /// the most destructive completion, i.e. the view `core ∪ (comp ∖
-    /// local)`. This is the view the component-aware certain/possible folds
-    /// evaluate: it is a sub-instance of every repair that picks `local`
-    /// for `comp`, which is what makes the per-component fold sound for
-    /// monotone queries.
-    pub fn local_deleted(&self, comp: usize, local: &BTreeSet<Tid>) -> BTreeSet<Tid> {
-        let mut deleted: BTreeSet<Tid> = self
-            .components
-            .components
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != comp)
-            .flat_map(|(_, c)| c.tids().iter().copied())
-            .collect();
-        deleted.extend(local.iter().copied());
-        deleted
+        Factorization::of(&self.components, &self.families, spanning, None)
     }
 
     /// Lazy iterator over the combined (global) deletion sets of the
     /// cross-product, in component-major order. Nothing product-sized is
     /// ever stored; each item is built from the current odometer position.
     pub fn deltas(&self) -> ProductDeltas<'_> {
-        ProductDeltas {
-            families: &self.families.families,
-            indices: vec![0; self.families.families.len()],
-            done: self.families.families.iter().any(Vec::is_empty),
-        }
+        ProductDeltas::over(&self.families.families)
     }
 
     /// Materialize the monolithic repair list (sorted by delta, the
@@ -202,7 +187,7 @@ impl FactoredRepairSet {
             }
             out.push(Repair::from_delta_arc(&self.base, deleted, Vec::new())?);
         }
-        out.sort_by(|a, b| a.delta().cmp(b.delta()));
+        crate::repair::sort_by_delta(&mut out);
         Ok(out)
     }
 }
@@ -217,7 +202,16 @@ pub struct ProductDeltas<'a> {
     done: bool,
 }
 
-impl ProductDeltas<'_> {
+impl<'a> ProductDeltas<'a> {
+    /// The odometer over the cross-product of `families`, at its start.
+    pub(crate) fn over(families: &'a [Vec<BTreeSet<Tid>>]) -> ProductDeltas<'a> {
+        ProductDeltas {
+            families,
+            indices: vec![0; families.len()],
+            done: families.iter().any(Vec::is_empty),
+        }
+    }
+
     /// How many deltas remain (including the one `next` would yield now);
     /// `None` on overflow.
     pub fn remaining_len(&self) -> Option<usize> {
@@ -300,7 +294,7 @@ mod tests {
     use super::*;
     use crate::srepair::{s_repairs, RepairOptions};
     use cqa_constraints::KeyConstraint;
-    use cqa_relation::{tuple, RelationSchema};
+    use cqa_relation::{tuple, RelationSchema, Tuple, Value};
 
     /// Two independent key groups (2 rows each) plus a clean row: two pair
     /// components, frozen core of one tuple, 4 monolithic repairs.
@@ -435,22 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn local_deleted_removes_other_components() {
-        let (db, sigma) = two_group_db();
-        let base = Arc::new(db);
-        let fx = factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-            .unwrap()
-            .unwrap()
-            .into_value();
-        let local: BTreeSet<Tid> = [Tid(1)].into();
-        let deleted = fx.local_deleted(0, &local);
-        // Component 0 = {1, 2}, component 1 = {3, 4}; view keeps tid 2 and
-        // the frozen core (tid 5).
-        assert_eq!(deleted, [Tid(1), Tid(3), Tid(4)].into());
-        assert_eq!(fx.conflicted(), [Tid(1), Tid(2), Tid(3), Tid(4)].into());
-    }
-
-    #[test]
     fn non_denial_sigma_has_no_factorization() {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("A", ["X"])).unwrap();
@@ -472,5 +450,51 @@ mod tests {
         // `limit` notion, so `s_repairs` routes limited calls monolithically
         // (covered by srepair tests); this just pins the default.
         assert!(RepairOptions::default().limit.is_none());
+    }
+
+    /// Regression: under a deadline the metered expansion stopped on time,
+    /// but then the kept prefix was sorted by materialized deltas — a cloned
+    /// relation name and row per deleted tid per repair, compared column by
+    /// column — and those were dropped again, so the call returned more
+    /// than ten deadlines late on this instance. It must now return within
+    /// a few deadlines.
+    #[test]
+    fn deadline_expansion_returns_promptly() {
+        // Wide rows whose leading columns all agree: ordering two deltas
+        // by content compares every pad column of every deleted row.
+        let pads = 32;
+        let mut columns: Vec<String> = (0..pads).map(|i| format!("Pad{i}")).collect();
+        columns.extend(["Id".to_string(), "Version".to_string()]);
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("Orders", columns))
+            .unwrap();
+        let pad = Value::str("p".repeat(256));
+        for k in 0..64 {
+            for v in 0..2 {
+                let mut row = vec![pad.clone(); pads];
+                row.extend([Value::Int(k), Value::Int(v)]);
+                db.insert("Orders", Tuple::new(row)).unwrap();
+            }
+        }
+        let sigma = ConstraintSet::from_iter([KeyConstraint::new("Orders", ["Id"])]);
+        let base = Arc::new(db);
+        // 64 components of 2: a 2^64 product the deadline must cut.
+        let deadline_ms = 300u64;
+        let started = std::time::Instant::now();
+        let out = crate::s_repairs_budgeted(
+            &base,
+            &sigma,
+            &RepairOptions::default(),
+            &Budget::deadline_ms(deadline_ms),
+        )
+        .unwrap();
+        assert!(out.is_truncated());
+        assert!(!out.value().is_empty());
+        drop(out);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(3 * deadline_ms),
+            "a {deadline_ms} ms deadline returned (and dropped) after {elapsed:?}"
+        );
     }
 }

@@ -61,7 +61,7 @@ pub fn repairs_after_insert(
     for hs in graph.minimal_hitting_sets(None) {
         repairs.push(Repair::from_delta_arc(&updated, hs, Vec::new())?);
     }
-    repairs.sort_by(|a, b| a.delta().cmp(b.delta()));
+    crate::repair::sort_by_delta(&mut repairs);
     Ok(IncrementalRepairs {
         updated,
         new_tids,

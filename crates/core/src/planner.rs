@@ -10,7 +10,7 @@
 //! The chosen strategy is reported so callers can log/inspect it, mirroring
 //! how ConsEx surfaced its magic-set rewriting decisions.
 
-use crate::cqa::{consistent_answers_budgeted, factored_certain_with, RepairClass};
+use crate::cqa::{answers_budgeted, RepairClass, Side};
 use crate::delta::IncrementalState;
 use crate::factored::Factorization;
 use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
@@ -32,8 +32,9 @@ pub enum Strategy {
         reason: String,
     },
     /// Enumerated repairs **per conflict component** and folded
-    /// component-locally (or over the lazy cross-product when a query
-    /// witness spans components) — never materializing the product.
+    /// component-locally over one witness scan of the query (or over the
+    /// lazy cross-product when a query witness spans components) — never
+    /// materializing the product.
     FactoredEnumeration {
         /// Why rewriting was not used.
         reason: String,
@@ -100,7 +101,7 @@ pub fn answer_consistently(
 /// [`Outcome::Exact`] answer — a budget never degrades them. Only the
 /// repair-enumeration fallback is metered; on truncation it reports the
 /// sound under-approximation of
-/// [`consistent_answers_budgeted`].
+/// [`consistent_answers_budgeted`](crate::cqa::consistent_answers_budgeted).
 pub fn answer_consistently_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -235,73 +236,83 @@ fn fallback(
     budget: &Budget,
     prebuilt: Option<&ConflictHypergraph>,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    // Both enumeration strategies quantify the query over a repair family;
-    // the subplan cache shares per-view answer sets across that fold.
-    // Snapshot the counters here so A008 reports this fold's delta.
+    // Per-repair folds share answer sets through the subplan cache:
+    // snapshot its counters so A008 can report this fold's delta.
     let cache_on = cqa_exec::plan_cache_enabled();
     let cache_before = cqa_query::plan_cache_stats();
-    let reason = if cache_on {
-        format!("{reason}; repair-family subplan sharing on")
-    } else {
-        reason
-    };
-    // Factored path: with ≥ 2 conflict components the repair family is a
-    // cross-product of independent per-component families, so enumeration
-    // and the certain fold run per component (see `cqa-core::factored`).
-    // Single-component instances keep the monolithic path — the
-    // factorization would be the identity.
-    if sigma.is_denial_class() {
-        let owned;
-        let graph = match prebuilt {
-            Some(g) => g,
-            None => {
-                owned = sigma.conflict_hypergraph(db)?;
-                &owned
-            }
-        };
-        if graph.components().components.len() >= 2 {
-            let base = std::sync::Arc::new(db.clone());
-            let out = factored_certain_with(&base, graph, query, &RepairClass::Subset, budget)?;
-            return Ok(out.map(|(answers, factorization)| {
-                diagnostics.push(factorization_diagnostic(&factorization));
-                diagnostics.push(plan_cache_diagnostic(cache_on, &cache_before));
-                PlannedAnswer {
-                    answers,
-                    strategy: Strategy::FactoredEnumeration {
-                        reason,
-                        factorization,
-                    },
-                    diagnostics,
-                }
-            }));
+    // With ≥ 2 conflict components the repair family is a cross-product of
+    // independent per-component families, so enumeration and the certain
+    // fold run per component (see `cqa-core::factored`). Single-component
+    // instances keep the monolithic path — the factorization would be the
+    // identity.
+    let out = answers_budgeted(
+        db,
+        sigma,
+        query,
+        &RepairClass::Subset,
+        Side::Certain,
+        prebuilt,
+        budget,
+    )?;
+    Ok(out.map(|(answers, factorization)| {
+        if let Some(f) = &factorization {
+            diagnostics.push(factorization_diagnostic(f));
         }
-    }
-    let answers = consistent_answers_budgeted(db, sigma, query, &RepairClass::Subset, budget)?;
-    Ok(answers.map(|answers| {
-        diagnostics.push(plan_cache_diagnostic(cache_on, &cache_before));
+        diagnostics.push(fold_diagnostic(
+            factorization.as_ref(),
+            cache_on,
+            &cache_before,
+        ));
+        let strategy = match factorization {
+            Some(factorization) => Strategy::FactoredEnumeration {
+                reason,
+                factorization,
+            },
+            None => Strategy::RepairEnumeration { reason },
+        };
         PlannedAnswer {
             answers,
-            strategy: Strategy::RepairEnumeration { reason },
+            strategy,
             diagnostics,
         }
     }))
 }
 
-/// The A008 informational finding describing how the subplan cache behaved
-/// during the repair fold (hits/misses accrued between the pre-fold
-/// snapshot and now; counters are process-wide, so concurrent folds may
-/// contribute).
-fn plan_cache_diagnostic(enabled: bool, before: &cqa_query::PlanCacheStats) -> Diagnostic {
-    let message = if enabled {
-        let after = cqa_query::plan_cache_stats();
-        format!(
-            "subplan cache over the repair fold: {} hits, {} misses, {} resident entries",
-            after.hits.saturating_sub(before.hits),
-            after.misses.saturating_sub(before.misses),
-            after.entries,
-        )
-    } else {
-        "subplan sharing disabled for this run: every repair re-evaluated the query".to_string()
+/// The A008 informational finding describing which fold answered: the
+/// component fold over witness slices, which evaluates nothing per repair,
+/// or a per-repair fold (lazy product, monolithic, or the core fallback of
+/// a truncated enumeration) with the subplan-cache hits and misses accrued
+/// between the pre-fold snapshot and now (counters are process-wide, so
+/// concurrent folds may contribute).
+fn fold_diagnostic(
+    factorization: Option<&Factorization>,
+    cache_on: bool,
+    before: &cqa_query::PlanCacheStats,
+) -> Diagnostic {
+    let message = match factorization {
+        Some(Factorization {
+            witnesses: Some(n), ..
+        }) => format!(
+            "component fold over witness slices: one scan of the query over the instance \
+             sliced {n} witnesses by component; no per-repair evaluation"
+        ),
+        _ if !cache_on => {
+            "subplan sharing disabled for this run: every repair re-evaluated the query".to_string()
+        }
+        _ => {
+            let fold = match factorization {
+                Some(f) if f.spanning => "lazy-product fold",
+                Some(_) => "core fallback",
+                None => "monolithic fold",
+            };
+            let after = cqa_query::plan_cache_stats();
+            format!(
+                "subplan cache over the {fold}: {} hits, {} misses, {} resident entries",
+                after.hits.saturating_sub(before.hits),
+                after.misses.saturating_sub(before.misses),
+                after.entries,
+            )
+        }
     };
     Diagnostic::new(DiagCode::PlanCache, message)
 }
@@ -523,12 +534,43 @@ mod tests {
             }
             other => panic!("expected factored fallback, got {other:?}"),
         }
-        // The A006 finding rides along in the diagnostics.
+        // The A006 finding rides along in the diagnostics, and A008 says the
+        // component fold ran over witness slices.
         assert!(planned
             .diagnostics
             .iter()
             .any(|d| d.code == DiagCode::ConflictComponents));
+        assert!(planned
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::PlanCache && d.message.contains("witness slices")));
         // And the answers agree with the reference semantics.
+        let reference =
+            crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
+        assert_eq!(planned.answers, reference);
+    }
+
+    #[test]
+    fn spanning_query_reports_the_lazy_product_fold() {
+        let (mut db, sigma) = employee();
+        db.insert("Employee", tuple!["smith", 3500]).unwrap();
+        // The self-join pairs rows of both conflict groups: witnesses span
+        // components, so the fold evaluates the query per product repair.
+        let q =
+            UnionQuery::single(parse_query("Q(x, u) :- Employee(x, y), Employee(u, w)").unwrap());
+        let planned =
+            cqa_exec::with_plan_cache(true, || answer_consistently(&db, &sigma, &q)).unwrap();
+        match &planned.strategy {
+            Strategy::FactoredEnumeration { factorization, .. } => {
+                assert!(factorization.spanning);
+                assert_eq!(factorization.witnesses, None);
+            }
+            other => panic!("expected factored fallback, got {other:?}"),
+        }
+        assert!(planned
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::PlanCache && d.message.contains("lazy-product fold")));
         let reference =
             crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         assert_eq!(planned.answers, reference);

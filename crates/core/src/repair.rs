@@ -178,6 +178,78 @@ impl fmt::Display for Repair {
     }
 }
 
+/// Sort `repairs` by content-level delta — the order `a.delta().cmp(b.delta())`
+/// gives — without building any delta. Deletion-only repairs over one base
+/// (every hitting-set enumeration yields those) compare as the sorted,
+/// deduplicated ranks of their deleted tuples in `(relation, tuple)` order,
+/// the order their `Change::Delete`s take, ranked once for the whole list;
+/// equal content shares a rank, as equal changes collapse in a delta set.
+/// Anything else compares deltas. The sort is stable either way, so the
+/// output order is exactly the delta comparator's.
+pub(crate) fn sort_by_delta(repairs: &mut Vec<Repair>) {
+    let Some(base) = repairs.first().map(|r| Arc::clone(&r.base)) else {
+        return;
+    };
+    if !repairs
+        .iter()
+        .all(|r| r.is_deletion_only() && Arc::ptr_eq(&r.base, &base))
+    {
+        repairs.sort_by(|a, b| a.delta().cmp(b.delta()));
+        return;
+    }
+    // One slot per tid of the base. Read each repair's deleted tids once,
+    // marking their slots; rank the marked slots; then map the keys.
+    const UNSEEN: u32 = u32::MAX;
+    let Ok(slots) = u32::try_from(base.tid_watermark()) else {
+        repairs.sort_by(|a, b| a.delta().cmp(b.delta()));
+        return;
+    };
+    let mut rank: Vec<u32> = vec![UNSEEN; slots as usize];
+    let mut keyed: Vec<(Vec<u32>, Repair)> = std::mem::take(repairs)
+        .into_iter()
+        .map(|r| {
+            let key: Vec<u32> = r
+                .deleted
+                .iter()
+                .map(|t| u32::try_from(t.0).unwrap_or(UNSEEN))
+                .collect();
+            for &i in &key {
+                if let Some(slot) = rank.get_mut(i as usize) {
+                    *slot = 0;
+                }
+            }
+            (key, r)
+        })
+        .collect();
+    let mut by_content: Vec<(&str, &Tuple, usize)> = rank
+        .iter()
+        .enumerate()
+        .filter(|&(_, &r)| r != UNSEEN)
+        .filter_map(|(i, _)| base.get(Tid(i as u64)).map(|(rel, t)| (rel, t, i)))
+        .collect();
+    by_content.sort_unstable();
+    let mut next = 0u32;
+    let mut prev: Option<(&str, &Tuple)> = None;
+    for &(rel, tuple, i) in &by_content {
+        if prev.is_some_and(|p| p != (rel, tuple)) {
+            next += 1;
+        }
+        prev = Some((rel, tuple));
+        if let Some(slot) = rank.get_mut(i) {
+            *slot = next;
+        }
+    }
+    for (key, _) in &mut keyed {
+        for k in key.iter_mut() {
+            *k = rank.get(*k as usize).copied().unwrap_or(UNSEEN);
+        }
+        key.sort_unstable();
+        key.dedup();
+    }
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    repairs.extend(keyed.into_iter().map(|(_, r)| r));
+}
+
 /// Keep only the ⊆-minimal deltas among `repairs` (the S-repair filter), and
 /// drop content-duplicates.
 pub fn retain_subset_minimal(repairs: Vec<Repair>) -> Vec<Repair> {
@@ -274,6 +346,61 @@ mod tests {
         let a = Repair::from_delta(&original, [Tid(1)].into(), vec![]).unwrap();
         let b = Repair::from_delta(&original, [Tid(1)].into(), vec![]).unwrap();
         assert_eq!(retain_subset_minimal(vec![a, b]).len(), 1);
+    }
+
+    #[test]
+    fn delta_free_sort_matches_the_delta_comparator() {
+        // Tid order disagrees with content order across two relations, so
+        // only a content-level comparison gets this right.
+        let mut d = Database::new();
+        d.create_relation(RelationSchema::new("S", ["A"])).unwrap();
+        d.create_relation(RelationSchema::new("R", ["A"])).unwrap();
+        for v in ["z", "b", "y", "a"] {
+            d.insert("S", tuple![v]).unwrap();
+            d.insert("R", tuple![v]).unwrap();
+        }
+        let base = Arc::new(d);
+        let all: Vec<Tid> = base.tids().into_iter().collect();
+        let mut repairs = Vec::new();
+        for mask in 0u32..(1 << all.len()) {
+            if mask % 3 == 0 || mask.count_ones() > 3 {
+                continue;
+            }
+            let deleted = all
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, t)| *t)
+                .collect();
+            repairs.push(Repair::from_delta_arc(&base, deleted, vec![]).unwrap());
+        }
+        repairs.reverse();
+        let mut expected: Vec<BTreeSet<Tid>> = {
+            let mut r = repairs.clone();
+            r.sort_by(|a, b| a.delta().cmp(b.delta()));
+            r.into_iter().map(|r| r.deleted).collect()
+        };
+        sort_by_delta(&mut repairs);
+        let got: Vec<BTreeSet<Tid>> = repairs.iter().map(|r| r.deleted.clone()).collect();
+        assert_eq!(got, expected);
+        assert!(
+            repairs.iter().all(|r| r.delta.get().is_none()),
+            "no delta built"
+        );
+        // With an insertion in the list the comparator falls back to deltas.
+        repairs.push(
+            Repair::from_delta_arc(&base, [Tid(1)].into(), vec![("R".into(), tuple!["c"])])
+                .unwrap(),
+        );
+        repairs.rotate_right(1);
+        expected = {
+            let mut r = repairs.clone();
+            r.sort_by(|a, b| a.delta().cmp(b.delta()));
+            r.into_iter().map(|r| r.deleted).collect()
+        };
+        sort_by_delta(&mut repairs);
+        let got: Vec<BTreeSet<Tid>> = repairs.iter().map(|r| r.deleted.clone()).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

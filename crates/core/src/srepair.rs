@@ -15,8 +15,8 @@
 //!   existential positions take the plain SQL `NULL` (§4.2).
 
 // audit:exponential — delta-space repair search branches per violation; every search loop must thread a Budget.
-use crate::repair::{retain_subset_minimal, Repair};
-use cqa_constraints::ConstraintSet;
+use crate::repair::{retain_subset_minimal, sort_by_delta, Repair};
+use cqa_constraints::{ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
 use cqa_relation::fxhash::{FxHashSet, FxHasher};
 use cqa_relation::{Database, Facts, RelationError, Tid, Tuple, Value, ValueDict};
@@ -174,38 +174,43 @@ pub fn s_repairs_budgeted(
     options: &RepairOptions,
     budget: &Budget,
 ) -> Result<Outcome<Vec<Repair>>, RelationError> {
-    let outcome = if sigma.is_denial_class() {
-        denial_class_s_repairs(db, sigma, options, budget)?
-    } else {
-        general_s_repairs(db, sigma, options, budget)?
-    };
-    Ok(outcome.map(|mut repairs| {
-        repairs.sort_by(|a, b| a.delta().cmp(b.delta()));
-        repairs
-    }))
+    if sigma.is_denial_class() {
+        let graph = sigma.conflict_hypergraph(&**db)?;
+        return denial_class_s_repairs(db, &graph, options, budget);
+    }
+    Ok(
+        general_s_repairs(db, sigma, options, budget)?.map(|mut repairs| {
+            sort_by_delta(&mut repairs);
+            repairs
+        }),
+    )
 }
 
-/// The fast path: deletions only, via minimal hitting sets.
-fn denial_class_s_repairs(
+/// The fast path: deletions only, via minimal hitting sets of `graph`, the
+/// conflict hyper-graph of `db`. Sorted by delta.
+pub(crate) fn denial_class_s_repairs(
     db: &Arc<Database>,
-    sigma: &ConstraintSet,
+    graph: &ConflictHypergraph,
     options: &RepairOptions,
     budget: &Budget,
 ) -> Result<Outcome<Vec<Repair>>, RelationError> {
-    let mut graph = sigma.conflict_hypergraph(&**db)?;
-    if !options.protected.is_empty() {
+    let reduced;
+    let graph = if options.protected.is_empty() {
+        graph
+    } else {
         // Protected tuples cannot be deleted: remove them from the edges; an
         // edge made empty can no longer be repaired, so no repair exists.
-        let mut reduced = Vec::with_capacity(graph.edges.len());
+        let mut edges = Vec::with_capacity(graph.edges.len());
         for e in &graph.edges {
             let r: BTreeSet<Tid> = e.difference(&options.protected).copied().collect();
             if r.is_empty() {
                 return Ok(budget.outcome_with(Vec::new(), 0));
             }
-            reduced.push(r);
+            edges.push(r);
         }
-        graph = cqa_constraints::ConflictHypergraph::new(graph.nodes, reduced);
-    }
+        reduced = ConflictHypergraph::new(graph.nodes.clone(), edges);
+        &reduced
+    };
     // Factored path: enumerate per conflict component and expand the
     // cross-product at the end. The search cost drops from product-shaped to
     // `Σ_c cost(c)` while the output stays byte-identical (the global minimal
@@ -218,18 +223,19 @@ fn denial_class_s_repairs(
         && !budget.forces_sequential()
         && graph.components().components.len() >= 2
     {
-        let factored = crate::factored::FactoredRepairSet::enumerate_minimal(db, &graph, budget);
+        let factored = crate::factored::FactoredRepairSet::enumerate_minimal(db, graph, budget);
         let repairs = factored.value().expand_budgeted(budget)?;
         let explored = repairs.len() as u64;
         return Ok(budget.outcome_with(repairs, explored));
     }
     let hitting_sets = graph.minimal_hitting_sets_budgeted(options.limit, budget);
     let explored = hitting_sets.value().len() as u64;
-    let repairs = hitting_sets
+    let mut repairs = hitting_sets
         .into_value()
         .into_iter()
         .map(|hs| Repair::from_delta_arc(db, hs, Vec::new()))
         .collect::<Result<Vec<Repair>, RelationError>>()?;
+    sort_by_delta(&mut repairs);
     Ok(budget.outcome_with(repairs, explored))
 }
 

@@ -766,19 +766,47 @@ pub fn eval_cq<F: Facts + ?Sized>(
     // order is the resolved tuples' Value order, never the id order.
     let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
     for_each_witness_vids(facts, cq, mode, &mut |bindings, _| {
-        let mut key = Vec::with_capacity(cq.head.len());
-        for t in &cq.head {
-            if let Term::Var(v) = t {
-                match bindings.get(*v) {
-                    Some(vid) => key.push(vid),
-                    None => return true, // unbound head var: no projection
-                }
-            }
+        // An unbound head variable projects no answer.
+        if let Some(key) = answer_key(cq, bindings) {
+            distinct.insert(key);
         }
-        distinct.insert(key);
         true
     });
     resolve_distinct_answers(facts, cq, &distinct)
+}
+
+/// The id-space answer key of one witness of `cq`: the vids bound to its
+/// head *variables*, in head order (constant head terms are filled back in
+/// by [`resolve_answer`]). `None` when a head variable is unbound, i.e.
+/// the witness projects no answer. Vid equality is value equality, so
+/// deduplicating keys deduplicates answers without touching the dictionary.
+pub fn answer_key(cq: &ConjunctiveQuery, bindings: &VidBindings) -> Option<Vec<Vid>> {
+    let mut key = Vec::with_capacity(cq.head.len());
+    for t in &cq.head {
+        if let Term::Var(v) = t {
+            key.push(bindings.get(*v)?);
+        }
+    }
+    Some(key)
+}
+
+/// Resolve an [`answer_key`] of `cq` into its answer tuple, each distinct
+/// vid through `cache` at most once. `None` when a vid does not resolve.
+pub fn resolve_answer<F: Facts + ?Sized>(
+    facts: &F,
+    cq: &ConjunctiveQuery,
+    key: &[Vid],
+    cache: &mut WordHashMap<Vid, Value>,
+) -> Option<Tuple> {
+    let mut vids = key.iter();
+    let mut vals = Vec::with_capacity(cq.head.len());
+    for t in &cq.head {
+        vals.push(match t {
+            Term::Const(v) => v.clone(),
+            Term::Var(_) => resolve_vid_cached(facts, *vids.next()?, cache)?,
+        });
+    }
+    Some(Tuple::new(vals))
 }
 
 /// Resolve deduplicated id-space answer keys into value-space tuples.
@@ -788,27 +816,11 @@ fn resolve_distinct_answers<F: Facts + ?Sized>(
     distinct: &BTreeSet<Vec<Vid>>,
 ) -> BTreeSet<Tuple> {
     let mut cache: WordHashMap<Vid, Value> = WordHashMap::default();
-    let mut out = BTreeSet::new();
-    'answers: for key in distinct {
-        let mut vals = Vec::with_capacity(cq.head.len());
-        let mut vids = key.iter();
-        for t in &cq.head {
-            match t {
-                Term::Const(v) => vals.push(v.clone()),
-                Term::Var(_) => {
-                    let Some(&vid) = vids.next() else {
-                        continue 'answers;
-                    };
-                    let Some(v) = resolve_vid_cached(facts, vid, &mut cache) else {
-                        continue 'answers; // dangling vid: drop the answer
-                    };
-                    vals.push(v);
-                }
-            }
-        }
-        out.insert(Tuple::new(vals));
-    }
-    out
+    // A dangling vid drops its answer.
+    distinct
+        .iter()
+        .filter_map(|key| resolve_answer(facts, cq, key, &mut cache))
+        .collect()
 }
 
 /// [`eval_cq`] under a caller-supplied join order (see
@@ -822,16 +834,9 @@ pub fn eval_cq_ordered<F: Facts + ?Sized>(
 ) -> BTreeSet<Tuple> {
     let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
     for_each_witness_vids_ordered(facts, cq, mode, order, &mut |bindings, _| {
-        let mut key = Vec::with_capacity(cq.head.len());
-        for t in &cq.head {
-            if let Term::Var(v) = t {
-                match bindings.get(*v) {
-                    Some(vid) => key.push(vid),
-                    None => return true,
-                }
-            }
+        if let Some(key) = answer_key(cq, bindings) {
+            distinct.insert(key);
         }
-        distinct.insert(key);
         true
     });
     resolve_distinct_answers(facts, cq, &distinct)

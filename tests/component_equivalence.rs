@@ -9,13 +9,13 @@
 
 use cqa_constraints::{ConstraintSet, KeyConstraint};
 use cqa_core::{
-    consistent_answers, consistent_answers_factored_budgeted, factored_c_repairs_budgeted,
-    factored_s_repairs_budgeted, possible_answers, possible_answers_factored_budgeted, RepairClass,
-    RepairOptions,
+    consistent_answers, consistent_answers_budgeted, consistent_answers_factored_budgeted,
+    factored_c_repairs_budgeted, factored_s_repairs_budgeted, possible_answers,
+    possible_answers_budgeted, possible_answers_factored_budgeted, RepairClass, RepairOptions,
 };
 use cqa_exec::{with_threads, Budget};
-use cqa_query::{holds_ucq, parse_query, NullSemantics, UnionQuery};
-use cqa_relation::{tuple, Database, DeltaView, RelationSchema, Tid};
+use cqa_query::{holds_ucq, parse_query, parse_ucq, NullSemantics, UnionQuery};
+use cqa_relation::{tuple, Database, DeltaView, RelationSchema, Tid, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -34,6 +34,50 @@ fn key_instance(groups: &[u8]) -> (Database, ConstraintSet) {
     }
     let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
     (db, sigma)
+}
+
+/// [`key_instance`] with SQL nulls: a flagged group's last row stores a
+/// null `V`.
+fn key_instance_with_nulls(groups: &[(u8, bool)]) -> (Database, ConstraintSet) {
+    let mut db = Database::new();
+    db.create_relation(RelationSchema::new("T", ["K", "V"]))
+        .unwrap();
+    for (k, &(size, null)) in groups.iter().enumerate() {
+        let size = size.max(1);
+        for v in 0..size {
+            let value = if null && v + 1 == size {
+                Value::NULL
+            } else {
+                Value::Int(i64::from(v))
+            };
+            db.insert("T", Tuple::new([Value::Int(k as i64), value]))
+                .unwrap();
+        }
+    }
+    let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
+    (db, sigma)
+}
+
+/// The query shapes the witness-slice fold must get right.
+fn routed_queries() -> Vec<(&'static str, UnionQuery)> {
+    let single = |text| UnionQuery::single(parse_query(text).unwrap());
+    vec![
+        // Answers with a null V are dropped.
+        ("projection", single("Q(k, v) :- T(k, v)")),
+        ("constant head", single("Q(k, 'tag') :- T(k, v)")),
+        ("comparison", single("Q(k) :- T(k, v), v > 0")),
+        // Both atoms map to one tuple (v = w) or to two rows of one group.
+        ("self-join", single("Q(k, v) :- T(k, v), T(k, w)")),
+        // A null V never joins itself, so its row answers nothing here.
+        ("null self-join", single("Q(k) :- T(k, v), T(k, v)")),
+        // One answer reached through two disjuncts in different repairs.
+        (
+            "union",
+            parse_ucq("Q(k) :- T(k, 0)\nQ(k) :- T(k, v), v >= 1").unwrap(),
+        ),
+        // Joins on V across keys span components: the lazy-product fold.
+        ("spanning", single("Q(x, z) :- T(x, y), T(z, y)")),
+    ]
 }
 
 /// The comparable core of a repair set: sorted `(deleted, inserted)` deltas.
@@ -220,6 +264,63 @@ proptest! {
             prop_assert!(possible.is_superset(&exact_possible));
         } else {
             prop_assert_eq!(&possible, &exact_possible);
+        }
+    }
+
+    /// The routed budgeted entries equal the unbudgeted monolithic
+    /// reference whenever they come back exact, for every deletion-based
+    /// class, under unlimited, deadline and step budgets, at 1 and 4
+    /// threads; truncated answers stay on the sound side (every query here
+    /// is monotone and every class deletion-only).
+    #[test]
+    fn routed_budgeted_entries_match_the_monolithic_reference(
+        groups in proptest::collection::vec((1u8..4, any::<bool>()), 1..5),
+        steps in 1u64..400,
+    ) {
+        let (db, sigma) = key_instance_with_nulls(&groups);
+        let budget = |kind: &str| match kind {
+            "deadline" => Budget::deadline_ms(60_000),
+            "expired deadline" => Budget::deadline_ms(0),
+            "steps" => Budget::steps(steps),
+            _ => Budget::unlimited(),
+        };
+        for class in [
+            RepairClass::Subset,
+            RepairClass::SubsetDeletionsOnly,
+            RepairClass::Cardinality,
+        ] {
+            for (shape, q) in routed_queries() {
+                let certain = consistent_answers(&db, &sigma, &q, &class).unwrap();
+                let possible = possible_answers(&db, &sigma, &q, &class).unwrap();
+                prop_assert!(certain.is_subset(&possible));
+                prop_assert!(possible.iter().all(|t| !t.has_null()), "{} kept a null", shape);
+                for threads in [1, 4] {
+                    for name in ["unlimited", "deadline", "expired deadline", "steps"] {
+                        let (c, p) = with_threads(threads, || {
+                            let c = consistent_answers_budgeted(
+                                &db, &sigma, &q, &class, &budget(name),
+                            )
+                            .unwrap();
+                            let p = possible_answers_budgeted(
+                                &db, &sigma, &q, &class, &budget(name),
+                            )
+                            .unwrap();
+                            (c, p)
+                        });
+                        let context = format!("{shape}, {class:?}, {name}, {threads} thread(s)");
+                        if c.is_exact() {
+                            prop_assert_eq!(c.value(), &certain, "certain: {}", context);
+                        } else {
+                            prop_assert!(c.value().is_subset(&certain), "certain: {}", context);
+                        }
+                        if p.is_exact() {
+                            prop_assert_eq!(p.value(), &possible, "possible: {}", context);
+                        } else {
+                            prop_assert!(p.value().is_superset(&possible), "possible: {}", context);
+                        }
+                    }
+                }
+            }
         }
     }
 
