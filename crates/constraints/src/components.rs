@@ -21,7 +21,8 @@
 //!   small search with its own bound instead of one big search sharing a
 //!   global incumbent.
 //!
-//! Components are independent, so `cqa-exec` runs them in parallel; the
+//! Components are independent, so `cqa-exec` runs them in parallel once
+//! there is enough of them to pay for the workers ([`PAR_MIN_EDGES`]); the
 //! canonical component order (and `par_map`'s order-preserving merge) keeps
 //! results byte-identical at every thread count. `cqa-core` builds repair
 //! semantics (`FactoredRepairSet`, component-aware CQA folds) on top.
@@ -32,6 +33,14 @@ use cqa_exec::{Budget, Outcome};
 use cqa_relation::Tid;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Fewest hyper-edges, summed over the components, for which the
+/// per-component searches run on the `cqa-exec` pool. Each pooled call
+/// spawns its workers, and below this size the spawn costs more than it
+/// saves. On a 2-vCPU host, 1 000 two-tuple components take 0.8 ms on one
+/// thread and 0.9 ms on two; the 4 583 edges of the F18 n = 10 000
+/// instance take 42 ms and 28 ms.
+pub const PAR_MIN_EDGES: usize = 1024;
 
 /// One connected component of a conflict hyper-graph: the sub-graph induced
 /// by a maximal set of tuples linked through hyper-edges. Every node of a
@@ -354,19 +363,40 @@ impl ConflictComponents {
             .unwrap_or(0)
     }
 
-    /// Run `f` once per component. Sequential in canonical order under a
-    /// logical budget (deterministic truncation), in parallel on the
-    /// `cqa-exec` pool otherwise — `par_map` preserves input order, so the
-    /// merged output is in canonical component order either way.
-    fn per_component<U: Send>(
+    /// Do the per-component searches go to the `cqa-exec` pool? Not under
+    /// a logical budget (deterministic truncation needs canonical order),
+    /// not on one thread, and not below [`PAR_MIN_EDGES`] edges in all.
+    fn parallel(&self, budget: &Budget) -> bool {
+        !budget.forces_sequential()
+            && cqa_exec::threads() > 1
+            && self.components.len() >= 2
+            && self
+                .components
+                .iter()
+                .map(ComponentGraph::edge_count)
+                .sum::<usize>()
+                >= PAR_MIN_EDGES
+    }
+
+    /// Run `f` over `items`, one per component in canonical order. On the
+    /// pool when [`Self::parallel`] says so, where each search runs on its
+    /// worker's one thread. Otherwise on the calling thread: several
+    /// components, too small in all for the pool, search on that one
+    /// thread too, while a lone component's search may still use the pool
+    /// itself. `par_map` preserves input order, so the merged output is in
+    /// canonical component order either way.
+    fn per_component<T: Sync, U: Send>(
         &self,
+        items: &[T],
         budget: &Budget,
-        f: impl Fn(&ComponentGraph) -> U + Sync,
+        f: impl Fn(&T) -> U + Sync,
     ) -> Vec<U> {
-        if budget.forces_sequential() || cqa_exec::threads() <= 1 || self.components.len() < 2 {
-            self.components.iter().map(f).collect()
+        if self.parallel(budget) {
+            cqa_exec::par_map(items, f)
+        } else if self.components.len() >= 2 {
+            cqa_exec::with_threads(1, || items.iter().map(f).collect())
         } else {
-            cqa_exec::par_map(&self.components, f)
+            items.iter().map(f).collect()
         }
     }
 
@@ -377,7 +407,7 @@ impl ConflictComponents {
     /// (so every expanded combination is a genuine global one — a sound
     /// subset), and `explored` counts the components enumerated exactly.
     pub fn minimal_hitting_sets_factored(&self, budget: &Budget) -> Outcome<FactoredFamilies> {
-        let results = self.per_component(budget, |c| {
+        let results = self.per_component(&self.components, budget, |c| {
             let out = c.graph().minimal_hitting_sets_budgeted(None, budget);
             let exact = out.is_exact();
             (out.into_value(), exact)
@@ -396,7 +426,7 @@ impl ConflictComponents {
     /// truncation the value is an upper bound, mirroring
     /// [`ConflictHypergraph::minimum_hitting_set_size_budgeted`].
     pub fn minimum_hitting_set_size_budgeted(&self, budget: &Budget) -> Outcome<usize> {
-        let sizes = self.per_component(budget, |c| {
+        let sizes = self.per_component(&self.components, budget, |c| {
             c.graph().minimum_hitting_set_size_budgeted(budget)
         });
         let total: usize = sizes.iter().map(|o| *o.value()).sum();
@@ -417,7 +447,7 @@ impl ConflictComponents {
         &self,
         budget: &Budget,
     ) -> Outcome<(usize, FactoredFamilies)> {
-        let sizes = self.per_component(budget, |c| {
+        let sizes = self.per_component(&self.components, budget, |c| {
             c.graph().minimum_hitting_set_size_budgeted(budget)
         });
         let total: usize = sizes.iter().map(|o| *o.value()).sum();
@@ -429,28 +459,12 @@ impl ConflictComponents {
             return budget.outcome_with((total, fams), 0);
         }
         let sizes: Vec<usize> = sizes.into_iter().map(Outcome::into_value).collect();
-        let results: Vec<(Vec<BTreeSet<Tid>>, bool)> = if budget.forces_sequential()
-            || cqa_exec::threads() <= 1
-            || self.components.len() < 2
-        {
-            self.components
-                .iter()
-                .zip(&sizes)
-                .map(|(c, &k)| {
-                    let out = c.graph().minimum_hitting_sets_at(k, budget);
-                    let exact = out.is_exact();
-                    (out.into_value(), exact)
-                })
-                .collect()
-        } else {
-            let indexed: Vec<(usize, &ComponentGraph)> =
-                self.components.iter().enumerate().collect();
-            cqa_exec::par_map(&indexed, |&(i, c)| {
-                let out = c.graph().minimum_hitting_sets_at(sizes[i], budget);
-                let exact = out.is_exact();
-                (out.into_value(), exact)
-            })
-        };
+        let sized: Vec<(&ComponentGraph, usize)> = self.components.iter().zip(sizes).collect();
+        let results = self.per_component(&sized, budget, |&(c, k)| {
+            let out = c.graph().minimum_hitting_sets_at(k, budget);
+            let exact = out.is_exact();
+            (out.into_value(), exact)
+        });
         let (families, exact): (Vec<_>, Vec<_>) = results.into_iter().unzip();
         let fams = FactoredFamilies { families, exact };
         let explored = fams.exact_components();
@@ -540,25 +554,41 @@ mod tests {
         assert_eq!(fams.expand(), monolithic);
     }
 
+    /// `n` path components `3i - 3i+1 - 3i+2` of two edges each.
+    fn path_components(n: u64) -> ConflictHypergraph {
+        let edges: Vec<BTreeSet<Tid>> = (0..n)
+            .flat_map(|i| [tids(&[3 * i, 3 * i + 1]), tids(&[3 * i + 1, 3 * i + 2])])
+            .collect();
+        ConflictHypergraph::new((0..3 * n).map(Tid).collect(), edges)
+    }
+
     #[test]
     fn factored_is_deterministic_across_thread_counts() {
-        let g = two_component_graph();
-        let run = |t: usize| {
-            cqa_exec::with_threads(t, || {
-                let comps = ConflictComponents::compute(&g);
-                (
-                    comps
-                        .minimal_hitting_sets_factored(&Budget::unlimited())
-                        .into_value(),
-                    comps
-                        .minimum_hitting_sets_factored(&Budget::unlimited())
-                        .into_value(),
-                )
-            })
-        };
-        let base = run(1);
-        for t in [2, 8] {
-            assert_eq!(run(t), base, "threads={t}");
+        // Below PAR_MIN_EDGES the searches stay on the calling thread; the
+        // path graph is large enough to run them on the pool.
+        let large = path_components(PAR_MIN_EDGES as u64 / 2 + 1);
+        for g in [two_component_graph(), large] {
+            let run = |t: usize| {
+                cqa_exec::with_threads(t, || {
+                    let comps = ConflictComponents::compute(&g);
+                    (
+                        comps.parallel(&Budget::unlimited()),
+                        comps
+                            .minimal_hitting_sets_factored(&Budget::unlimited())
+                            .into_value(),
+                        comps
+                            .minimum_hitting_sets_factored(&Budget::unlimited())
+                            .into_value(),
+                    )
+                })
+            };
+            let (pooled, minimal, minimum) = run(1);
+            assert!(!pooled, "one thread never uses the pool");
+            for t in [2, 8] {
+                let (pooled, m, c) = run(t);
+                assert_eq!(pooled, g.edges.len() >= PAR_MIN_EDGES);
+                assert_eq!((&m, &c), (&minimal, &minimum), "threads={t}");
+            }
         }
     }
 

@@ -162,7 +162,7 @@ fn health(state: &ServerState) -> Reply {
 }
 
 fn shutdown(state: &ServerState) -> Reply {
-    state.stop.cancel();
+    state.begin_shutdown();
     Reply::ok(Json::obj([("stopping", Json::Bool(true))]))
 }
 

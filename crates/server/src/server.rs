@@ -3,8 +3,9 @@
 //! Threading model (all through `cqa-exec`'s [`ServiceGroup`] — the rest of
 //! the workspace never spawns raw threads):
 //!
-//! * one **accept** thread, non-blocking with a short sleep so it can
-//!   observe the shutdown token;
+//! * one **accept** thread, blocked in `accept` so a new connection is
+//!   served as soon as it arrives; stopping the server wakes it with one
+//!   throwaway loopback connection ([`ServerState::begin_shutdown`]);
 //! * one **connection** thread per accepted socket, running the
 //!   keep-alive request loop;
 //! * one **disconnect watcher** thread per connection, `peek`ing the
@@ -26,7 +27,7 @@ use crate::sessions::{write_lock, SessionStore};
 use crate::wire::BudgetPolicy;
 use cqa_exec::{AdmissionGate, CancelToken, ServiceGroup};
 use std::io::{BufRead, BufReader};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -68,18 +69,48 @@ impl Default for ServerConfig {
 /// Shared server internals, visible to the handlers in [`crate::api`].
 #[derive(Debug)]
 pub struct ServerState {
-    /// The configuration the server was started with.
+    /// The configuration the server was started with; [`start`] resolves
+    /// a requested port 0 to the port it bound.
     pub config: ServerConfig,
     /// The session table.
     pub sessions: SessionStore,
     /// Per-request admission gate.
     pub gate: AdmissionGate,
-    /// Set by `POST /shutdown` (or [`ServerHandle::shutdown`]); every loop
-    /// polls it.
+    /// Set by `POST /shutdown` (or [`ServerHandle::shutdown`]) through
+    /// [`ServerState::begin_shutdown`]; every loop checks it.
     pub stop: CancelToken,
 }
 
 impl ServerState {
+    /// Stop the server: set the stop token, then wake the accept loop,
+    /// which blocks in `accept`, with one loopback connection it drops
+    /// unserved. A state with no bound port (one built for in-process
+    /// dispatch, without [`start`]) only sets the token.
+    pub fn begin_shutdown(&self) {
+        self.stop.cancel();
+        if self.config.port == 0 {
+            return;
+        }
+        let wake = (self.config.host.as_str(), self.config.port)
+            .to_socket_addrs()
+            .into_iter()
+            .flatten()
+            .map(|mut addr| {
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                addr
+            });
+        for addr in wake {
+            if TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok() {
+                return;
+            }
+        }
+    }
+
     /// The budget policy handlers derive per-request [`cqa_exec::Budget`]s
     /// from.
     pub fn budget_policy(&self) -> BudgetPolicy {
@@ -92,14 +123,14 @@ impl ServerState {
 
 /// A running server: its bound address plus the shutdown/join handles.
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     state: Arc<ServerState>,
     group: ServiceGroup,
 }
 
 impl ServerHandle {
     /// The actually bound address (resolves port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -110,7 +141,7 @@ impl ServerHandle {
 
     /// Ask the server to stop accepting and drain.
     pub fn shutdown(&self) {
-        self.state.stop.cancel();
+        self.state.begin_shutdown();
     }
 
     /// Block until the accept loop has exited (implies [`shutdown`] was
@@ -124,19 +155,22 @@ impl ServerHandle {
     }
 }
 
-/// How often blocked loops wake to poll the stop token.
-const POLL: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off after a failed `accept` (for
+/// example, out of file descriptors) before it tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
+
+/// Connect timeout of the wake-up connection [`ServerState::begin_shutdown`]
+/// makes to the server's own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Bind and start serving in the background.
-pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
+pub fn start(mut config: ServerConfig) -> Result<ServerHandle, String> {
     let listener = TcpListener::bind((config.host.as_str(), config.port))
         .map_err(|e| format!("bind {}:{}: {e}", config.host, config.port))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
+    config.port = addr.port();
     let state = Arc::new(ServerState {
         sessions: SessionStore::new(config.max_sessions),
         gate: AdmissionGate::new(config.max_inflight),
@@ -157,6 +191,9 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     while !state.stop.is_cancelled() {
         match listener.accept() {
+            // The connection that woke a stopping server is dropped
+            // unserved, like any that races with the stop.
+            Ok(_) if state.stop.is_cancelled() => break,
             Ok((stream, _peer)) => {
                 let state = Arc::clone(state);
                 if !ServiceGroup::spawn_detached("repaird-conn", move || {
@@ -166,10 +203,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     // the client sees a reset and retries.
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 }

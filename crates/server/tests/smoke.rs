@@ -10,12 +10,13 @@
 //!   `/health` stays reachable;
 //! * a client that disconnects mid-request has its work cancelled and the
 //!   in-flight count drains back to zero;
-//! * shutdown is clean: accept loop exits, sessions are not leaked.
+//! * shutdown is clean: accept loop exits, sessions are not leaked;
+//! * a fresh connection is served at once, not at an acceptor poll tick.
 
 use cqa_server::{start, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Minimal test client: one request over a fresh connection.
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -304,4 +305,27 @@ fn protocol_errors_are_4xx_not_drops() {
 
     handle.shutdown();
     assert_eq!(handle.join(), 1, "the one live session is dropped at join");
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_poll() {
+    // The acceptor blocks in `accept`, so each new connection's request is
+    // answered at once. An acceptor that polled its listener every 25 ms
+    // made these 20 one-shot requests take about half a second.
+    let handle = start(ServerConfig::default()).expect("start");
+    let addr = handle.addr();
+    let started = Instant::now();
+    for _ in 0..20 {
+        let (status, reply) = request(addr, "GET", "/health", "");
+        assert_eq!(status, 200, "{reply}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 one-shot requests took {elapsed:?}"
+    );
+    // `POST /shutdown` wakes the blocked acceptor, so `join` returns.
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    assert_eq!(handle.join(), 0);
 }

@@ -12,6 +12,7 @@
 //! Run with: `cargo test --features schedule-fuzz --test schedule_fuzz`
 #![cfg(feature = "schedule-fuzz")]
 
+use cqa_constraints::components::PAR_MIN_EDGES;
 use cqa_constraints::{ConflictHypergraph, ConstraintSet, KeyConstraint};
 use cqa_core::{RepairClass, RepairOptions};
 use cqa_exec::{with_schedule_seed, with_threads, Budget};
@@ -89,6 +90,27 @@ fn hitting_set_search_is_schedule_invariant() {
     let g = hypergraph();
     assert_schedule_invariant("minimal_hitting_sets", || g.minimal_hitting_sets(None));
     assert_schedule_invariant("minimum_hitting_sets", || g.minimum_hitting_sets());
+}
+
+#[test]
+fn factored_hitting_set_search_is_schedule_invariant() {
+    // Enough two-edge path components to clear PAR_MIN_EDGES, so the
+    // per-component searches run on the pool.
+    let n = PAR_MIN_EDGES as u64 / 2 + 1;
+    let edges: Vec<BTreeSet<Tid>> = (0..n)
+        .flat_map(|i| {
+            [[3 * i, 3 * i + 1], [3 * i + 1, 3 * i + 2]]
+                .map(|e| e.into_iter().map(Tid).collect::<BTreeSet<Tid>>())
+        })
+        .collect();
+    let g = ConflictHypergraph::new((0..3 * n).map(Tid).collect(), edges);
+    let comps = g.components();
+    assert_schedule_invariant("minimal_hitting_sets_factored", || {
+        comps.minimal_hitting_sets_factored(&Budget::unlimited())
+    });
+    assert_schedule_invariant("minimum_hitting_sets_factored", || {
+        comps.minimum_hitting_sets_factored(&Budget::unlimited())
+    });
 }
 
 #[test]
