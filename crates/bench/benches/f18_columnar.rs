@@ -7,6 +7,10 @@
 //! range scan) and the CQA equi-join. Answers are asserted byte-identical
 //! before any measurement; memory is reported by the harness (`F18`
 //! section), not here.
+//!
+//! `codec_load` times the text codec's load of the 5 000-order instance
+//! (about 950 KiB, the body of a `repaird` tenant creation), after checking
+//! that the loaded content equals the generated instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -76,5 +80,19 @@ fn bench_f18(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_f18);
+fn bench_codec_load(c: &mut Criterion) {
+    let (db, _) = f18_columnar(&f18_data(5_000, 18));
+    let text = cqa_relation::save(&db);
+    let loaded = cqa_relation::load(&text).unwrap();
+    assert!(loaded.same_content(&db));
+
+    let mut group = c.benchmark_group("codec_load");
+    group.sample_size(20);
+    group.bench_with_input(BenchmarkId::new("f18", 5_000), &text, |b, text| {
+        b.iter(|| cqa_relation::load(text).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_f18, bench_codec_load);
 criterion_main!(benches);

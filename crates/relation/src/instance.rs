@@ -19,7 +19,7 @@ use crate::dict::{ValueDict, Vid};
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
 use crate::index::{HashIndex, SortedIndex};
-use crate::schema::{AttrType, DatabaseSchema, RelationSchema};
+use crate::schema::{AttrType, Attribute, DatabaseSchema, RelationSchema};
 use crate::stats::ColumnStats;
 use crate::tuple::{Tid, Tuple};
 use crate::value::Value;
@@ -215,17 +215,29 @@ impl Relation {
             .enumerate()
         {
             if !attr.ty.admits(value) {
-                return Err(RelationError::TypeMismatch {
-                    relation: self.name().to_string(),
-                    position: i,
-                    detail: format!(
-                        "attribute `{}` declared {:?}, got {} value {}",
-                        attr.name,
-                        attr.ty,
-                        value.type_name(),
-                        value
-                    ),
-                });
+                return Err(type_mismatch(self.name(), i, attr, value));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Relation::validate`] for an encoded row: the arity, then the
+    /// declared types by resolving the cells (skipped when every attribute
+    /// is [`AttrType::Any`], so the common untyped row allocates nothing).
+    fn validate_vids(&self, vids: &[Vid], typed: bool) -> Result<()> {
+        if vids.len() != self.schema.arity() {
+            return Err(RelationError::ArityMismatch {
+                relation: self.name().to_string(),
+                expected: self.schema.arity(),
+                actual: vids.len(),
+            });
+        }
+        if typed {
+            for (i, (attr, &vid)) in self.schema.attributes().iter().zip(vids).enumerate() {
+                let value = self.dict.resolve(vid).unwrap_or(Value::NULL);
+                if !attr.ty.admits(&value) {
+                    return Err(type_mismatch(self.name(), i, attr, &value));
+                }
             }
         }
         Ok(())
@@ -239,11 +251,11 @@ impl Relation {
         self.stamp = mint_stamp();
     }
 
-    /// Append an already-encoded, already-deduplicated row.
-    fn insert_encoded(&mut self, tid: Tid, key: Box<[Vid]>) {
-        self.by_content.insert(&key, tid);
-        self.store.push(tid, &key);
-        self.invalidate_rows();
+    /// Append an already-encoded, already-deduplicated row. The caller
+    /// runs [`Relation::invalidate_rows`] once its batch of rows is in.
+    fn push_encoded(&mut self, tid: Tid, key: &[Vid]) {
+        self.by_content.insert(key, tid);
+        self.store.push(tid, key);
     }
 
     fn remove(&mut self, tid: Tid) -> Option<Tuple> {
@@ -267,6 +279,26 @@ impl Relation {
     pub fn shrink_to_fit(&mut self) {
         self.store.shrink_to_fit();
         self.by_content.shrink_to_fit();
+    }
+}
+
+/// The error for `value` rejected by attribute `attr` at `position`.
+fn type_mismatch(
+    relation: &str,
+    position: usize,
+    attr: &Attribute,
+    value: &Value,
+) -> RelationError {
+    RelationError::TypeMismatch {
+        relation: relation.to_string(),
+        position,
+        detail: format!(
+            "attribute `{}` declared {:?}, got {} value {}",
+            attr.name,
+            attr.ty,
+            value.type_name(),
+            value
+        ),
     }
 }
 
@@ -470,7 +502,8 @@ impl Database {
         if let Some(existing) = rel.tid_of_vids(&key) {
             return Ok(existing);
         }
-        rel.insert_encoded(next, key);
+        rel.push_encoded(next, &key);
+        rel.invalidate_rows();
         self.next_tid += 1;
         self.log_change(Change::Insert {
             relation: idx,
@@ -479,54 +512,34 @@ impl Database {
         Ok(next)
     }
 
-    /// Insert an already-encoded row (the codec fast path): `vids` must come
-    /// from **this** database's dictionary. Arity is checked here; typed
-    /// attributes are checked by resolving only when the schema declares
-    /// types, so the common untyped case stays allocation-free.
-    pub fn insert_vids(&mut self, relation: &str, vids: Box<[Vid]>) -> Result<Tid> {
-        let next = Tid(self.next_tid);
-        let idx = self.relation_idx(relation)?;
-        let rel = &mut self.relations[idx];
-        if vids.len() != rel.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                relation: rel.name().to_string(),
-                expected: rel.schema.arity(),
-                actual: vids.len(),
-            });
-        }
-        if rel
+    /// Open a bulk append to the relation at index `rel` (creation order):
+    /// the codec's load path.
+    pub(crate) fn append_block(&mut self, rel: usize) -> Result<BlockAppend<'_>> {
+        let Database {
+            relations,
+            next_tid,
+            cache,
+            epoch,
+            changes,
+            ..
+        } = self;
+        let relation = relations
+            .get_mut(rel)
+            .ok_or_else(|| RelationError::UnknownRelation(format!("#{rel}")))?;
+        let typed = relation
             .schema
             .attributes()
             .iter()
-            .any(|a| a.ty != AttrType::Any)
-        {
-            for (i, (attr, &vid)) in rel.schema.attributes().iter().zip(vids.iter()).enumerate() {
-                let value = rel.dict.resolve(vid).unwrap_or(Value::NULL);
-                if !attr.ty.admits(&value) {
-                    return Err(RelationError::TypeMismatch {
-                        relation: rel.name().to_string(),
-                        position: i,
-                        detail: format!(
-                            "attribute `{}` declared {:?}, got {} value {}",
-                            attr.name,
-                            attr.ty,
-                            value.type_name(),
-                            value
-                        ),
-                    });
-                }
-            }
-        }
-        if let Some(existing) = rel.tid_of_vids(&vids) {
-            return Ok(existing);
-        }
-        rel.insert_encoded(next, vids);
-        self.next_tid += 1;
-        self.log_change(Change::Insert {
-            relation: idx,
-            tid: next,
-        });
-        Ok(next)
+            .any(|a| a.ty != AttrType::Any);
+        Ok(BlockAppend {
+            rel,
+            relation,
+            typed,
+            next_tid,
+            epoch,
+            changes,
+            cache,
+        })
     }
 
     /// Insert several tuples, returning their tids.
@@ -580,17 +593,7 @@ impl Database {
                 });
             };
             if !attr.ty.admits(&value) {
-                return Err(RelationError::TypeMismatch {
-                    relation: rel.name().to_string(),
-                    position,
-                    detail: format!(
-                        "attribute `{}` declared {:?}, got {} value {}",
-                        attr.name,
-                        attr.ty,
-                        value.type_name(),
-                        value
-                    ),
-                });
+                return Err(type_mismatch(rel.name(), position, attr, &value));
             }
             let new_vid = rel.dict.intern(&value);
             let old_key = rel.store.row_key(pos);
@@ -903,6 +906,57 @@ impl Database {
             rel.shrink_to_fit();
         }
         self.dict.shrink_to_fit();
+    }
+}
+
+/// A bulk append to one relation, opened by [`Database::append_block`].
+///
+/// Each row is checked (arity, declared types), deduplicated, given the
+/// next tid and logged (epoch and change-log record) exactly as by
+/// [`Database::insert`]. What an insert repeats per row on caches that stay
+/// empty while a load builds the database — dropping the relation's
+/// index-cache entries and row cache and re-minting its content stamp —
+/// runs once, when the block is dropped.
+pub(crate) struct BlockAppend<'a> {
+    rel: usize,
+    relation: &'a mut Relation,
+    /// Does the schema declare any attribute type?
+    typed: bool,
+    next_tid: &'a mut u64,
+    epoch: &'a mut u64,
+    changes: &'a mut ChangeLog,
+    cache: &'a IndexCache,
+}
+
+impl BlockAppend<'_> {
+    /// The dictionary rows must be encoded against.
+    pub(crate) fn dict(&self) -> &ValueDict {
+        &self.relation.dict
+    }
+
+    /// Append one encoded row, returning its tid; content already present
+    /// returns the existing tid (set semantics).
+    pub(crate) fn push(&mut self, vids: &[Vid]) -> Result<Tid> {
+        self.relation.validate_vids(vids, self.typed)?;
+        if let Some(existing) = self.relation.tid_of_vids(vids) {
+            return Ok(existing);
+        }
+        let tid = Tid(*self.next_tid);
+        self.relation.push_encoded(tid, vids);
+        *self.next_tid += 1;
+        *self.epoch += 1;
+        self.changes.push(Change::Insert {
+            relation: self.rel,
+            tid,
+        });
+        Ok(tid)
+    }
+}
+
+impl Drop for BlockAppend<'_> {
+    fn drop(&mut self) {
+        self.cache.invalidate_relation(self.rel);
+        self.relation.invalidate_rows();
     }
 }
 
@@ -1311,24 +1365,38 @@ mod tests {
     }
 
     #[test]
-    fn insert_vids_fast_path_matches_insert() {
+    fn append_block_matches_insert() {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("R", ["A", "B"]))
             .unwrap();
-        let key: Box<[Vid]> = [
+        let key = [
             db.dict().intern(&Value::str("a")),
             db.dict().intern(&Value::Int(1)),
-        ]
-        .into();
-        let t1 = db.insert_vids("R", key.clone()).unwrap();
-        // Set semantics against the value-level path.
+        ];
+        let e0 = db.epoch();
+        let t1 = db.append_block(0).unwrap().push(&key).unwrap();
+        // Logged like an insert: one epoch, one change record.
+        assert_eq!(db.epoch(), e0 + 1);
+        assert_eq!(
+            db.changes_since(e0),
+            Some(
+                &[Change::Insert {
+                    relation: 0,
+                    tid: t1
+                }][..]
+            )
+        );
+        // Set semantics against the value-level path, and within a block.
         let t2 = db.insert("R", tuple!["a", 1]).unwrap();
         assert_eq!(t1, t2);
+        assert_eq!(db.append_block(0).unwrap().push(&key).unwrap(), t1);
         assert_eq!(db.total_tuples(), 1);
+        assert_eq!(db.epoch(), e0 + 1);
         // Arity mismatch errors.
-        assert!(db
-            .insert_vids("R", [db.dict().intern(&Value::Int(1))].into())
-            .is_err());
+        let one = db.dict().intern(&Value::Int(1));
+        assert!(db.append_block(0).unwrap().push(&[one]).is_err());
+        // Unknown relation indexes open nothing.
+        assert!(db.append_block(1).is_err());
         // Typed schemas are enforced on the vid path too.
         db.create_relation(RelationSchema::with_attributes(
             "T",
@@ -1336,9 +1404,31 @@ mod tests {
         ))
         .unwrap();
         let str_vid = db.dict().intern(&Value::str("nope"));
-        assert!(db.insert_vids("T", [str_vid].into()).is_err());
+        assert!(db.append_block(1).unwrap().push(&[str_vid]).is_err());
         let int_vid = db.dict().intern(&Value::Int(3));
-        assert!(db.insert_vids("T", [int_vid].into()).is_ok());
+        assert!(db.append_block(1).unwrap().push(&[int_vid]).is_ok());
+        assert_eq!(db.total_tuples(), 2);
+    }
+
+    #[test]
+    fn append_block_invalidates_once_on_drop() {
+        let mut db = supply_db();
+        let ix = db.hash_index("Articles", &[0]).unwrap();
+        let kept = db.hash_index("Supply", &[0]).unwrap();
+        let stamp = db.relation("Articles").unwrap().content_stamp();
+        let rows = db.relation("Articles").unwrap().tuples().count();
+        {
+            let mut block = db.append_block(1).unwrap();
+            let vid = block.dict().intern(&Value::str("I9"));
+            block.push(&[vid]).unwrap();
+        }
+        // The appended relation's caches and stamp are renewed; other
+        // relations' indexes survive.
+        let rel = db.relation("Articles").unwrap();
+        assert_ne!(rel.content_stamp(), stamp);
+        assert_eq!(rel.tuples().count(), rows + 1);
+        assert!(!Arc::ptr_eq(&ix, &db.hash_index("Articles", &[0]).unwrap()));
+        assert!(Arc::ptr_eq(&kept, &db.hash_index("Supply", &[0]).unwrap()));
     }
 
     #[test]

@@ -162,7 +162,10 @@ fn health(state: &ServerState) -> Reply {
 }
 
 fn shutdown(state: &ServerState) -> Reply {
-    state.begin_shutdown();
+    // Only the stop token: the connection wakes the acceptor once this
+    // reply is written (`server::dispatch`), or `repairctl serve` could
+    // exit before sending it.
+    state.stop.cancel();
     Reply::ok(Json::obj([("stopping", Json::Bool(true))]))
 }
 

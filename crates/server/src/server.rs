@@ -76,8 +76,10 @@ pub struct ServerState {
     pub sessions: SessionStore,
     /// Per-request admission gate.
     pub gate: AdmissionGate,
-    /// Set by `POST /shutdown` (or [`ServerHandle::shutdown`]) through
-    /// [`ServerState::begin_shutdown`]; every loop checks it.
+    /// Cancelled by [`ServerState::begin_shutdown`] (through
+    /// [`ServerHandle::shutdown`]) or by `POST /shutdown`, whose
+    /// connection wakes the acceptor once the reply is written; every
+    /// loop checks it.
     pub stop: CancelToken,
 }
 
@@ -318,7 +320,12 @@ fn dispatch(
     if let Some(seconds) = reply.retry_after {
         extra.push(("Retry-After", seconds.to_string()));
     }
-    write_response(writer, reply.status, &extra, &reply.body.to_string(), false).is_ok()
+    let written =
+        write_response(writer, reply.status, &extra, &reply.body.to_string(), false).is_ok();
+    if request.path == "/shutdown" && state.stop.is_cancelled() {
+        state.begin_shutdown();
+    }
+    written
 }
 
 fn respond_error(writer: &mut TcpStream, status: u16, message: &str) -> std::io::Result<()> {

@@ -14,12 +14,18 @@ use proptest::prelude::*;
 /// A well-formed codec file covering every value shape (quoted strings with
 /// `''` escapes, ints, floats, bools, labelled nulls) — the seed that the
 /// near-valid mutations perturb. One-byte damage to this file used to panic
-/// the tokenizer (trailing escape at end of input).
+/// the tokenizer (trailing escape at end of input). The multibyte string,
+/// the U+00A0 separators and indentation and the indented row put one-byte
+/// damage inside multibyte sequences and around the byte-level scanner's
+/// whitespace handling.
 const VALID_DB: &str = "\
 @relation R(A, B, C)\n\
 'a', 1, 2.5\n\
 'b''c', -7, NULL\n\
 '', true, NULL_3\n\
+'é😀', 4, 0.5\n\
+'d',\u{a0}5,\u{a0}false\n\
+\u{a0} 'e', 6, 7.0\n\
 \n\
 @relation S(X)\n\
 'o''brien'\n";
@@ -102,11 +108,14 @@ proptest! {
 
 /// The regression that motivated the suite, pinned exactly: a database file
 /// cut off one byte early (inside an `''` escape) must load as a typed
-/// codec error with the right position — not a panic.
+/// codec error with the right position — not a panic. Cuts inside a
+/// multibyte character end the text in U+FFFD.
 #[test]
 fn one_byte_truncations_of_a_valid_file_never_panic() {
+    assert!(!VALID_DB.is_ascii());
+    assert!(cqa_relation::load(VALID_DB).is_ok());
     for cut in 0..VALID_DB.len() {
-        let s = &VALID_DB[..cut];
+        let s = &*String::from_utf8_lossy(&VALID_DB.as_bytes()[..cut]);
         // Tokenizer-level failures must carry a real 1-based position;
         // other failures (arity mismatches against the declared schema) are
         // typed errors too — the only forbidden outcome is a panic.
