@@ -11,12 +11,18 @@
 //! `codec_load` times the text codec's load of the 5 000-order instance
 //! (about 950 KiB, the body of a `repaird` tenant creation), after checking
 //! that the loaded content equals the generated instance.
+//!
+//! `conflict_build` times `IncrementalState::new` (violations, conflict
+//! hyper-graph and its components) on that loaded instance, the conflict
+//! state a `repaird` tenant creation builds, after checking that its
+//! violation sets equal the row engine's FD and range violations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cqa_bench::rowstore::{f18_rowdb, RowDb};
 use cqa_bench::{f18_columnar, f18_data};
 use cqa_constraints::DenialConstraint;
+use cqa_core::IncrementalState;
 use cqa_query::{parse_query, ConjunctiveQuery, NullSemantics};
 use cqa_relation::{Database, Tid, Tuple, Value};
 use std::collections::BTreeSet;
@@ -94,5 +100,24 @@ fn bench_codec_load(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_f18, bench_codec_load);
+fn bench_conflict_build(c: &mut Criterion) {
+    let data = f18_data(5_000, 18);
+    let (db, sigma) = f18_columnar(&data);
+    let loaded = cqa_relation::load(&cqa_relation::save(&db)).unwrap();
+    let expected: BTreeSet<BTreeSet<Tid>> = row_violations(&f18_rowdb(&data))
+        .into_iter()
+        .flatten()
+        .collect();
+    let state = IncrementalState::new(&loaded, &sigma).unwrap();
+    assert_eq!(state.violations(), &expected);
+
+    let mut group = c.benchmark_group("conflict_build");
+    group.sample_size(20);
+    group.bench_with_input(BenchmarkId::new("f18", 5_000), &loaded, |b, db| {
+        b.iter(|| IncrementalState::new(db, &sigma).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_f18, bench_codec_load, bench_conflict_build);
 criterion_main!(benches);

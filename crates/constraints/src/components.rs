@@ -160,7 +160,7 @@ impl FactoredFamilies {
     }
 }
 
-/// Union-find over tid indices; paths are compressed on `find`.
+/// Union-find over positions; paths are halved on `find`.
 struct UnionFind {
     parent: Vec<usize>,
 }
@@ -172,79 +172,117 @@ impl UnionFind {
         }
     }
 
+    fn parent(&self, x: usize) -> usize {
+        self.parent.get(x).copied().unwrap_or(x)
+    }
+
     fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+        loop {
+            let p = self.parent(x);
+            if p == x {
+                return x;
+            }
+            let grand = self.parent(p);
+            if let Some(slot) = self.parent.get_mut(x) {
+                *slot = grand;
+            }
+            x = grand;
         }
-        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Always hang the larger root under the smaller: roots then
-            // coincide with each component's smallest tid index, which is
-            // what makes the component order canonical for free.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
+        // Always hang the larger root under the smaller: a root is then its
+        // component's smallest position, which is what makes the component
+        // order canonical for free.
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        if let Some(slot) = self.parent.get_mut(hi) {
+            *slot = lo;
         }
     }
 }
 
 impl ConflictComponents {
     /// Factor `graph` into its frozen core and connected components via
-    /// union-find over the hyper-edges. `O(E·s·α + V)` for `E` edges of
-    /// size `s`. Prefer [`ConflictHypergraph::components`], which caches
-    /// the result on the graph.
+    /// union-find over the hyper-edges, in flat passes: `O(E·s·log V)` for
+    /// `E` edges of size `s` over `V` covered tuples. Prefer
+    /// [`ConflictHypergraph::components`], which caches the result on the
+    /// graph.
+    ///
+    /// Each component's edges are the in-order sub-list of the graph's
+    /// canonical edge list, hence canonical and superset-free themselves:
+    /// the component graphs are built as they are, without re-running
+    /// [`ConflictHypergraph::new`]'s sort and dominance test.
     pub fn compute(graph: &ConflictHypergraph) -> ConflictComponents {
-        // Index the covered tids (ascending order, so index order = tid
-        // order and the smallest root is the smallest tid).
-        let covered: BTreeSet<Tid> = graph.edges.iter().flatten().copied().collect();
-        let index: BTreeMap<Tid, usize> = covered
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, t)| (t, i))
-            .collect();
+        // The covered tids, ascending: position order is tid order, so a
+        // component's smallest root is its smallest tid.
+        let mut covered: Vec<Tid> = graph.edges.iter().flatten().copied().collect();
+        covered.sort_unstable();
+        covered.dedup();
+        let position = |t: &Tid| covered.binary_search(t).ok();
         let mut uf = UnionFind::new(covered.len());
+        // Each edge's first position names its component later on.
+        let mut edge_first: Vec<Option<usize>> = Vec::with_capacity(graph.edges.len());
         for edge in &graph.edges {
-            let mut it = edge.iter();
-            if let Some(first) = it.next() {
-                for t in it {
-                    uf.union(index[first], index[t]);
+            let mut at = edge.iter().filter_map(position);
+            let first = at.next();
+            if let Some(first) = first {
+                for p in at {
+                    uf.union(first, p);
                 }
             }
+            edge_first.push(first);
         }
-        // Number components by first encounter in ascending tid order.
-        let tids: Vec<Tid> = covered.iter().copied().collect();
-        let mut component_of_root: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut nodes_per: Vec<BTreeSet<Tid>> = Vec::new();
-        for (i, &tid) in tids.iter().enumerate() {
-            let root = uf.find(i);
-            let next = nodes_per.len();
-            let c = *component_of_root.entry(root).or_insert(next);
-            if c == nodes_per.len() {
-                nodes_per.push(BTreeSet::new());
+        // Number components by first encounter in ascending tid order. A
+        // root is never larger than the positions under it, so it is
+        // numbered by the time any of them is reached.
+        let mut component_of: Vec<usize> = Vec::with_capacity(covered.len());
+        let mut nodes_per: Vec<Vec<Tid>> = Vec::new();
+        for (i, &tid) in covered.iter().enumerate() {
+            let c = match component_of.get(uf.find(i)) {
+                Some(&c) => c,
+                None => {
+                    nodes_per.push(Vec::new());
+                    nodes_per.len() - 1
+                }
+            };
+            if let Some(nodes) = nodes_per.get_mut(c) {
+                nodes.push(tid);
             }
-            nodes_per[c].insert(tid);
+            component_of.push(c);
         }
         let mut edges_per: Vec<Vec<BTreeSet<Tid>>> = vec![Vec::new(); nodes_per.len()];
-        for edge in &graph.edges {
-            if let Some(first) = edge.iter().next() {
-                let c = component_of_root[&uf.find(index[first])];
-                edges_per[c].push(edge.clone());
+        for (edge, first) in graph.edges.iter().zip(edge_first) {
+            let edges = first
+                .and_then(|p| component_of.get(p))
+                .and_then(|&c| edges_per.get_mut(c));
+            if let Some(edges) = edges {
+                edges.push(edge.clone());
             }
         }
         let components = nodes_per
             .into_iter()
             .zip(edges_per)
             .map(|(nodes, edges)| ComponentGraph {
-                graph: Arc::new(ConflictHypergraph::new(nodes, edges)),
+                graph: Arc::new(ConflictHypergraph::from_canonical(
+                    nodes.into_iter().collect(),
+                    edges,
+                )),
             })
             .collect();
+        // The frozen core in one merge pass of two ascending sequences.
+        let mut rest = covered.iter().peekable();
+        let frozen_core = graph
+            .nodes
+            .iter()
+            .filter(|&t| {
+                while rest.next_if(|&c| c < t).is_some() {}
+                rest.peek() != Some(&t)
+            })
+            .copied()
+            .collect();
         ConflictComponents {
-            frozen_core: graph.nodes.difference(&covered).copied().collect(),
+            frozen_core,
             components,
         }
     }
@@ -306,7 +344,11 @@ impl ConflictComponents {
         // order a from-scratch build derives from its `BTreeSet` input).
         let mut sub_edges: Vec<BTreeSet<Tid>> = Vec::new();
         for &c in &touched {
-            for e in self.components[c].edges() {
+            for e in self
+                .components
+                .get(c)
+                .map_or(&[][..], ComponentGraph::edges)
+            {
                 if !removed.contains(e) {
                     sub_edges.push(e.clone());
                 }
@@ -475,6 +517,169 @@ impl ConflictComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The union-find the old `compute` used, for the reference.
+    struct RefUnionFind {
+        parent: Vec<usize>,
+    }
+
+    impl RefUnionFind {
+        fn new(n: usize) -> RefUnionFind {
+            RefUnionFind {
+                parent: (0..n).collect(),
+            }
+        }
+
+        fn find(&mut self, mut x: usize) -> usize {
+            while self.parent[x] != x {
+                self.parent[x] = self.parent[self.parent[x]];
+                x = self.parent[x];
+            }
+            x
+        }
+
+        fn union(&mut self, a: usize, b: usize) {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra != rb {
+                // Always hang the larger root under the smaller: roots then
+                // coincide with each component's smallest tid index, which is
+                // what makes the component order canonical for free.
+                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                self.parent[hi] = lo;
+            }
+        }
+    }
+
+    /// `ConflictComponents::compute` as it was before the flat-pass rewrite:
+    /// `BTreeMap` indexes and a full `ConflictHypergraph::new` per component.
+    fn compute_reference(graph: &ConflictHypergraph) -> ConflictComponents {
+        // Index the covered tids (ascending order, so index order = tid
+        // order and the smallest root is the smallest tid).
+        let covered: BTreeSet<Tid> = graph.edges.iter().flatten().copied().collect();
+        let index: BTreeMap<Tid, usize> = covered
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, t)| (t, i))
+            .collect();
+        let mut uf = RefUnionFind::new(covered.len());
+        for edge in &graph.edges {
+            let mut it = edge.iter();
+            if let Some(first) = it.next() {
+                for t in it {
+                    uf.union(index[first], index[t]);
+                }
+            }
+        }
+        // Number components by first encounter in ascending tid order.
+        let tids: Vec<Tid> = covered.iter().copied().collect();
+        let mut component_of_root: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut nodes_per: Vec<BTreeSet<Tid>> = Vec::new();
+        for (i, &tid) in tids.iter().enumerate() {
+            let root = uf.find(i);
+            let next = nodes_per.len();
+            let c = *component_of_root.entry(root).or_insert(next);
+            if c == nodes_per.len() {
+                nodes_per.push(BTreeSet::new());
+            }
+            nodes_per[c].insert(tid);
+        }
+        let mut edges_per: Vec<Vec<BTreeSet<Tid>>> = vec![Vec::new(); nodes_per.len()];
+        for edge in &graph.edges {
+            if let Some(first) = edge.iter().next() {
+                let c = component_of_root[&uf.find(index[first])];
+                edges_per[c].push(edge.clone());
+            }
+        }
+        let components = nodes_per
+            .into_iter()
+            .zip(edges_per)
+            .map(|(nodes, edges)| ComponentGraph {
+                graph: Arc::new(ConflictHypergraph::new(nodes, edges)),
+            })
+            .collect();
+        ConflictComponents {
+            frozen_core: graph.nodes.difference(&covered).copied().collect(),
+            components,
+        }
+    }
+
+    /// A random edge list: 1–3 tids each over at most 40 tids, with
+    /// duplicates and supersets left in for `ConflictHypergraph::new` to
+    /// filter.
+    fn random_edges(rng: &mut SmallRng, n_tids: u64, n_edges: usize) -> Vec<BTreeSet<Tid>> {
+        (0..n_edges)
+            .map(|_| {
+                let size = rng.gen_range(1..4);
+                (0..size).map(|_| Tid(rng.gen_range(0..n_tids))).collect()
+            })
+            .collect()
+    }
+
+    /// The edges `ConflictHypergraph::new` must keep, by definition: the
+    /// distinct inclusion-minimal raw edges, in canonical (size, then
+    /// lexicographic) order.
+    fn minimal_edges(raw: &[BTreeSet<Tid>]) -> Vec<BTreeSet<Tid>> {
+        let distinct: BTreeSet<&BTreeSet<Tid>> = raw.iter().collect();
+        let mut minimal: Vec<BTreeSet<Tid>> = distinct
+            .iter()
+            .filter(|e| !distinct.iter().any(|f| f != *e && f.is_subset(e)))
+            .map(|e| (*e).clone())
+            .collect();
+        minimal.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        minimal
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `ConflictHypergraph::new` keeps exactly the minimal edges, the
+        /// flat-pass `compute` equals the old implementation, each
+        /// component graph equals `ConflictHypergraph::new` over its own
+        /// nodes and edges, and `apply_edge_delta` after random removals
+        /// and additions equals `compute` on the new graph.
+        #[test]
+        fn compute_matches_reference_and_delta(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n_tids = rng.gen_range(1..41);
+            let nodes: BTreeSet<Tid> = (0..n_tids).map(Tid).collect();
+            let n_edges = rng.gen_range(0..30);
+            let raw = random_edges(&mut rng, n_tids, n_edges);
+            let g = ConflictHypergraph::new(nodes.clone(), raw.clone());
+            prop_assert_eq!(&g.edges, &minimal_edges(&raw));
+            // Fills the graph's cache, so `apply_delta` below maintains it.
+            let comps = g.components();
+            prop_assert_eq!(&*comps, &compute_reference(&g));
+            for c in &comps.components {
+                let rebuilt = ConflictHypergraph::new(c.tids().clone(), c.edges().to_vec());
+                prop_assert_eq!(c.graph(), &rebuilt);
+            }
+
+            // Drop some raw edges, add fresh ones, drop some conflict-free
+            // nodes.
+            let mut raw2: Vec<BTreeSet<Tid>> =
+                raw.into_iter().filter(|_| rng.gen_bool(0.7)).collect();
+            let n_added = rng.gen_range(0..8);
+            raw2.extend(random_edges(&mut rng, n_tids, n_added));
+            let nodes2: BTreeSet<Tid> = nodes
+                .iter()
+                .copied()
+                .filter(|t| raw2.iter().any(|e| e.contains(t)) || rng.gen_bool(0.8))
+                .collect();
+            let g2 = ConflictHypergraph::new(nodes2.clone(), raw2.clone());
+            prop_assert_eq!(&g2.edges, &minimal_edges(&raw2));
+            let old: BTreeSet<BTreeSet<Tid>> = g.edges.iter().cloned().collect();
+            let new: BTreeSet<BTreeSet<Tid>> = g2.edges.iter().cloned().collect();
+            let removed = old.difference(&new).cloned().collect();
+            let added = new.difference(&old).cloned().collect();
+            let expected = ConflictComponents::compute(&g2);
+            prop_assert_eq!(&comps.apply_edge_delta(&nodes2, &removed, &added), &expected);
+            prop_assert_eq!(&*g.apply_delta(nodes2, raw2).components(), &expected);
+        }
+    }
 
     fn tids(ids: &[u64]) -> BTreeSet<Tid> {
         ids.iter().map(|&i| Tid(i)).collect()

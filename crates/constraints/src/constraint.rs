@@ -177,7 +177,9 @@ impl ConstraintSet {
     ) -> Result<BTreeSet<BTreeSet<Tid>>, RelationError> {
         let mut out = BTreeSet::new();
         for d in self.all_denials(facts.base())? {
-            out.extend(d.violations(facts));
+            // A merge of two sorted sets (a move when `out` is empty), not
+            // one tree insertion per violation set.
+            out.append(&mut d.violations(facts));
         }
         Ok(out)
     }

@@ -240,18 +240,7 @@ impl DenialConstraint {
         let [a0, a1] = self.body.atoms.as_slice() else {
             return None;
         };
-        let vars0: BTreeSet<Var> = a0.vars().collect();
-        let shared: Vec<Var> = a1
-            .vars()
-            .collect::<BTreeSet<Var>>()
-            .intersection(&vars0)
-            .copied()
-            .collect();
-        if shared.is_empty() {
-            return None; // cross product: nothing to hash on
-        }
-        let key_pos0: Vec<usize> = shared.iter().map(|&v| a0.positions_of(v)[0]).collect();
-        let key_pos1: Vec<usize> = shared.iter().map(|&v| a1.positions_of(v)[0]).collect();
+        let (key_pos0, key_pos1) = join_key(a0, a1)?;
 
         let mode = NullSemantics::Sql;
         let n_vars = self.body.vars.len();
@@ -360,21 +349,7 @@ impl DenialConstraint {
         if !self.body.negated.is_empty() {
             return None;
         }
-        // Join key: every variable shared between the two atoms, keyed at
-        // its first position in each atom (repeats inside an atom are
-        // checked by `match_atom_vids`).
-        let vars0: BTreeSet<Var> = a0.vars().collect();
-        let shared: Vec<Var> = a1
-            .vars()
-            .collect::<BTreeSet<Var>>()
-            .intersection(&vars0)
-            .copied()
-            .collect();
-        if shared.is_empty() {
-            return None; // cross product: nothing to hash on
-        }
-        let key_pos0: Vec<usize> = shared.iter().map(|&v| a0.positions_of(v)[0]).collect();
-        let key_pos1: Vec<usize> = shared.iter().map(|&v| a1.positions_of(v)[0]).collect();
+        let (key_pos0, key_pos1) = join_key(a0, a1)?;
 
         if let Some(out) = self.violations_rank_lane(facts, a0, a1, &key_pos0, &key_pos1) {
             return Some(out);
@@ -462,18 +437,41 @@ impl DenialConstraint {
     }
 
     /// The rank lane inside the hash join: when every term of both atoms is
-    /// a variable, with no variable repeated *within* an atom, a bucket pair
+    /// a variable, with no variable repeated *within* an atom, a row pair
     /// matches exactly when its join key matches (vid equality is value
-    /// equality), so the per-pair `match_atom_vids` re-check is redundant.
-    /// The comparisons then only ever read whole columns or constants, and
-    /// every comparison-relevant value is resolved through the dictionary
-    /// **once**, into a dense rank table sorted in [`Value`] order — equal
-    /// values collapse to one rank, so rank comparison coincides with
-    /// [`CmpOp::eval`] on the resolved values. The quadratic pair loop then
-    /// compares word-sized ranks without ever taking the dictionary lock.
-    /// Nulls stay out of the rank table, so a null operand misses it and
-    /// the comparison is false, exactly the SQL semantics. `None` means the
-    /// body is not of this shape and the generic bucket loop runs instead.
+    /// equality), so the per-pair `match_atom_vids` re-check is redundant
+    /// and the comparisons only ever read whole columns or constants. The
+    /// lane then runs as flat passes over id-space arrays:
+    ///
+    /// 1. **Gather.** Each side's visible rows are read once through
+    ///    [`Facts::vid_rows`] into a [`LaneSide`]: tids, join-key cells and
+    ///    one column per comparison slot, every cell numbered by first
+    ///    encounter in a [`CellDict`] that tests null-ness once per
+    ///    distinct vid. A self-join that reads the same key and comparison
+    ///    columns on both sides gathers once and uses the result twice.
+    /// 2. **Rank.** Every distinct non-null comparison vid is resolved
+    ///    once, and the values, with the comparison constants, are sorted
+    ///    into a dense rank table in [`Value`] order. Equal values collapse
+    ///    to one rank, so rank comparison coincides with [`CmpOp::eval`] on
+    ///    the resolved values. A null or unresolvable cell gets
+    ///    [`NO_RANK`]; it falsifies every comparison that reads it (the SQL
+    ///    semantics), so its row can never pair and drops out of both
+    ///    sides, as does a row with a null join key.
+    /// 3. **Group.** Build-side rows are grouped by join key, by first
+    ///    encounter: the key cell's number for one key column, a hashed
+    ///    slice of cell numbers otherwise. A counting sort lays the groups
+    ///    out as contiguous runs: the tids plus one rank column per
+    ///    comparison slot.
+    /// 4. **Pair.** Each probe row scans its key's run. When the body's
+    ///    comparisons are exactly one column of one row against one column
+    ///    of the other (the FD and key shapes, `y != z`), the probe rank is
+    ///    compared against the run's rank column in a tight loop; other
+    ///    shapes evaluate the compiled comparisons per pair.
+    ///
+    /// Matches are collected as ordered tid pairs, sorted and deduplicated
+    /// before any set is built; a row paired with itself yields a
+    /// singleton. `None` means the body is not of this shape and the
+    /// generic bucket loop runs instead.
     fn violations_rank_lane<F: Facts + ?Sized>(
         &self,
         facts: &F,
@@ -490,6 +488,10 @@ impl DenialConstraint {
                     return None;
                 }
             }
+        }
+        let width = key_pos1.len();
+        if width == 0 || key_pos0.len() != width {
+            return None; // no join key: not this shape
         }
         // A null constant falsifies its comparison under SQL semantics, and
         // with it the whole conjunctive body: no violations at all.
@@ -541,114 +543,109 @@ impl DenialConstraint {
             compiled.push((c.op, l, r));
         }
 
-        // Rank table: every distinct vid in a comparison column, resolved
-        // once and sorted (with the comparison constants) in Value order.
-        let mut distinct: Vec<Vid> = Vec::new();
-        for (cols, atom) in [(&cols0, a0), (&cols1, a1)] {
-            if cols.is_empty() {
-                continue;
-            }
-            for (_, row) in facts.vid_rows(&atom.relation) {
-                for &p in cols.iter() {
-                    if let Some(vid) = row.at(p) {
-                        if !facts.vid_is_null(vid) {
-                            distinct.push(vid);
-                        }
-                    }
-                }
-            }
-        }
-        distinct.sort_unstable_by_key(|v| v.raw());
-        distinct.dedup();
-        let resolved: Vec<(Vid, Value)> = distinct
+        // 1. Gather, the build side (a1) first.
+        let mut keys = CellDict::default();
+        let mut cells = CellDict::default();
+        let mut build =
+            LaneSide::gather(facts, &a1.relation, key_pos1, &cols1, &mut keys, &mut cells);
+        let shared = a0.relation == a1.relation && key_pos0 == key_pos1 && cols0 == cols1;
+        let mut probe = (!shared).then(|| {
+            LaneSide::gather(facts, &a0.relation, key_pos0, &cols0, &mut keys, &mut cells)
+        });
+
+        // 2. Rank: resolve each distinct comparison vid once.
+        let values: Vec<Option<Value>> = cells
+            .vids
             .iter()
-            .filter_map(|&v| facts.resolve_vid(v).map(|val| (v, val)))
+            .zip(&cells.null)
+            .map(|(&vid, &null)| if null { None } else { facts.resolve_vid(vid) })
             .collect();
-        let mut domain: Vec<Value> = resolved.iter().map(|(_, v)| v.clone()).collect();
-        domain.extend(consts.iter().cloned());
+        let mut domain: Vec<&Value> = values.iter().flatten().chain(&consts).collect();
         domain.sort_unstable();
         domain.dedup();
-        let rank_of = |v: &Value| domain.binary_search(v).ok().map(|i| i as u32);
-        let mut ranks: WordHashMap<Vid, u32> = WordHashMap::default();
-        for (vid, val) in &resolved {
-            if let Some(r) = rank_of(val) {
-                ranks.insert(*vid, r);
-            }
+        let rank_of = |v: &Value| domain.binary_search(&v).map_or(NO_RANK, |i| i as u32);
+        let cell_rank: Vec<u32> = values
+            .iter()
+            .map(|v| v.as_ref().map_or(NO_RANK, rank_of))
+            .collect();
+        let const_ranks: Vec<u32> = consts.iter().map(rank_of).collect();
+        build.rank(&cell_rank);
+        if let Some(p) = probe.as_mut() {
+            p.rank(&cell_rank);
         }
-        let const_ranks: Vec<Option<u32>> = consts.iter().map(&rank_of).collect();
+        let probe = probe.as_ref().unwrap_or(&build);
 
-        let fetch_ranks = |row: &VidRow<'_>, cols: &[usize]| -> Vec<Option<u32>> {
-            cols.iter()
-                .map(|&p| row.at(p).and_then(|vid| ranks.get(&vid).copied()))
-                .collect()
+        // 3. Group the build side by join key, then counting-sort it into
+        // contiguous runs.
+        let mut by_slice: WordHashMap<&[u32], u32> = WordHashMap::default();
+        let build_groups = build.groups(width, |key| {
+            let next = by_slice.len() as u32;
+            *by_slice.entry(key).or_insert(next)
+        });
+        let probe_owned: Vec<u32>;
+        let probe_groups: &[u32] = if shared {
+            &build_groups
+        } else {
+            probe_owned = probe.groups(width, |key| by_slice.get(key).copied().unwrap_or(NO_GROUP));
+            &probe_owned
         };
-        let operand = |r0: &[Option<u32>], r1: &[Option<u32>], s: &RankSrc| -> Option<u32> {
-            match *s {
-                RankSrc::Row0(i) => r0.get(i).copied().flatten(),
-                RankSrc::Row1(i) => r1.get(i).copied().flatten(),
-                RankSrc::Const(i) => const_ranks.get(i).copied().flatten(),
-            }
+        let n_groups = if width == 1 {
+            keys.vids.len()
+        } else {
+            by_slice.len()
         };
+        let runs = Runs::sort(&build, &build_groups, n_groups);
 
-        // Build and probe exactly like the generic lane, but buckets keep
-        // only (tid, comparison-column ranks): the pair loop is pure u32s.
-        let mut out = BTreeSet::new();
-        // Join key -> (tid, comparison-column ranks) build-side buckets.
-        type RankBuckets = WordHashMap<Vec<Vid>, Vec<(Tid, Vec<Option<u32>>)>>;
-        let mut index: RankBuckets = WordHashMap::default();
-        'build: for (tid1, row1) in facts.vid_rows(&a1.relation) {
-            let mut key = Vec::with_capacity(key_pos1.len());
-            for &p in key_pos1 {
-                let Some(vid) = row1.at(p) else {
-                    continue 'build;
-                };
-                if facts.vid_is_null(vid) {
-                    continue 'build; // null never joins
-                }
-                key.push(vid);
-            }
-            index
-                .entry(key)
-                .or_default()
-                .push((tid1, fetch_ranks(&row1, &cols1)));
-        }
-        // Probe-side scratch, reused across rows: the hot loop allocates
-        // nothing (bucket lookups borrow the key as a slice).
-        let mut key: Vec<Vid> = Vec::with_capacity(key_pos0.len());
-        let mut r0: Vec<Option<u32>> = Vec::with_capacity(cols0.len());
-        'probe: for (tid0, row0) in facts.vid_rows(&a0.relation) {
-            key.clear();
-            for &p in key_pos0 {
-                let Some(vid) = row0.at(p) else {
-                    continue 'probe;
-                };
-                if facts.vid_is_null(vid) {
-                    continue 'probe; // null never joins
-                }
-                key.push(vid);
-            }
-            let Some(bucket) = index.get(key.as_slice()) else {
+        // 4. Pair each probe row with its key's run.
+        let kernel = match compiled.as_slice() {
+            [(op, RankSrc::Row0(i), RankSrc::Row1(j))] => Some((*op, *i, *j)),
+            [(op, RankSrc::Row1(j), RankSrc::Row0(i))] => Some((op.flipped(), *i, *j)),
+            _ => None,
+        };
+        let mut pairs: Vec<(Tid, Tid)> = Vec::new();
+        for (row, (&group, &tid0)) in probe_groups.iter().zip(&probe.tids).enumerate() {
+            let Some((range, tids)) = runs.run(group) else {
                 continue;
             };
-            r0.clear();
-            r0.extend(
-                cols0
+            if let Some((op, i, j)) = kernel {
+                let (Some(&rank0), Some(ranks)) = (
+                    probe.cols.get(i).and_then(|c| c.get(row)),
+                    runs.cols.get(j).and_then(|c| c.get(range)),
+                ) else {
+                    continue;
+                };
+                scan_run(op, rank0, tid0, tids, ranks, &mut pairs);
+                continue;
+            }
+            for (at, &tid1) in range.zip(tids) {
+                let operand = |s: &RankSrc| {
+                    match *s {
+                        RankSrc::Row0(i) => probe.cols.get(i).and_then(|c| c.get(row)),
+                        RankSrc::Row1(j) => runs.cols.get(j).and_then(|c| c.get(at)),
+                        RankSrc::Const(k) => const_ranks.get(k),
+                    }
+                    .copied()
+                    .filter(|&r| r != NO_RANK)
+                };
+                let ok = compiled
                     .iter()
-                    .map(|&p| row0.at(p).and_then(|vid| ranks.get(&vid).copied())),
-            );
-            for (tid1, r1) in bucket {
-                let ok = compiled.iter().all(|(op, l, r)| {
-                    match (operand(&r0, r1, l), operand(&r0, r1, r)) {
+                    .all(|(op, l, r)| match (operand(l), operand(r)) {
                         (Some(a), Some(b)) => rank_cmp(*op, a, b),
                         _ => false, // a null operand never satisfies SQL cmp
-                    }
-                });
+                    });
                 if ok {
-                    out.insert([tid0, *tid1].into_iter().collect());
+                    pairs.push(ordered(tid0, tid1));
                 }
             }
         }
-        Some(out)
+        pairs.sort_unstable();
+        pairs.dedup();
+        Some(
+            pairs
+                .into_iter()
+                .map(|(lo, hi)| BTreeSet::from([lo, hi]))
+                .collect(),
+        )
     }
 
     /// The sorted-index fast path for single-atom range constraints like
@@ -740,11 +737,237 @@ impl DenialConstraint {
 }
 
 /// A compiled comparison operand of the rank lane: a comparison-column slot
-/// of the probe row, of the bucket row, or an interned constant.
+/// of the probe row, of the run row, or an interned constant.
 enum RankSrc {
     Row0(usize),
     Row1(usize),
     Const(usize),
+}
+
+/// The rank of a null or unresolvable comparison cell, and the number of a
+/// cell the row does not have. It satisfies no comparison and joins no
+/// key, so a row holding one never pairs.
+const NO_RANK: u32 = u32::MAX;
+
+/// The group of a row that cannot join: a null join key or a
+/// [`NO_RANK`] comparison cell.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The distinct vids of one cell family (join keys or comparison values) of
+/// the rank lane, numbered by first encounter. Null-ness is tested once per
+/// distinct vid: [`Facts::vid_is_null`] takes the dictionary's read lock
+/// for table vids.
+#[derive(Default)]
+struct CellDict {
+    number: WordHashMap<Vid, u32>,
+    vids: Vec<Vid>,
+    null: Vec<bool>,
+}
+
+impl CellDict {
+    /// The number of `vid`, assigned on first encounter.
+    fn cell<F: Facts + ?Sized>(&mut self, facts: &F, vid: Vid) -> u32 {
+        let (vids, null) = (&mut self.vids, &mut self.null);
+        *self.number.entry(vid).or_insert_with(|| {
+            let n = vids.len() as u32;
+            vids.push(vid);
+            null.push(facts.vid_is_null(vid));
+            n
+        })
+    }
+
+    fn is_null(&self, cell: u32) -> bool {
+        self.null.get(cell as usize).copied().unwrap_or(true)
+    }
+}
+
+/// One side of the rank lane, gathered in one pass over its visible rows:
+/// row-aligned tids, join-key cell numbers (row-major, one per key column),
+/// one column per comparison slot (cell numbers, then ranks once
+/// [`LaneSide::rank`] ran), and whether the row can join at all.
+struct LaneSide {
+    tids: Vec<Tid>,
+    keys: Vec<u32>,
+    cols: Vec<Vec<u32>>,
+    live: Vec<bool>,
+}
+
+impl LaneSide {
+    fn gather<F: Facts + ?Sized>(
+        facts: &F,
+        relation: &str,
+        key_pos: &[usize],
+        cols: &[usize],
+        keys: &mut CellDict,
+        cells: &mut CellDict,
+    ) -> LaneSide {
+        let mut side = LaneSide {
+            tids: Vec::new(),
+            keys: Vec::new(),
+            cols: vec![Vec::new(); cols.len()],
+            live: Vec::new(),
+        };
+        for (tid, row) in facts.vid_rows(relation) {
+            let mut live = true;
+            for &p in key_pos {
+                let key = row.at(p).map_or(NO_RANK, |vid| keys.cell(facts, vid));
+                live &= !keys.is_null(key); // null never joins
+                side.keys.push(key);
+            }
+            for (&p, col) in cols.iter().zip(&mut side.cols) {
+                col.push(row.at(p).map_or(NO_RANK, |vid| cells.cell(facts, vid)));
+            }
+            side.tids.push(tid);
+            side.live.push(live);
+        }
+        side
+    }
+
+    /// Replace every comparison cell number by its rank; a row with an
+    /// unranked cell stops being live.
+    fn rank(&mut self, cell_rank: &[u32]) {
+        for col in &mut self.cols {
+            for (cell, live) in col.iter_mut().zip(&mut self.live) {
+                *cell = cell_rank.get(*cell as usize).copied().unwrap_or(NO_RANK);
+                if *cell == NO_RANK {
+                    *live = false;
+                }
+            }
+        }
+    }
+
+    /// Each row's group: [`NO_GROUP`] for a row that cannot join, the key
+    /// cell's number for a one-column key, and `slice_group` of the key
+    /// cells otherwise.
+    fn groups<'s>(
+        &'s self,
+        width: usize,
+        mut slice_group: impl FnMut(&'s [u32]) -> u32,
+    ) -> Vec<u32> {
+        self.keys
+            .chunks_exact(width)
+            .zip(&self.live)
+            .map(|(key, &live)| match key {
+                _ if !live => NO_GROUP,
+                [cell] => *cell,
+                _ => slice_group(key),
+            })
+            .collect()
+    }
+}
+
+/// The build side counting-sorted by group: group `g`'s rows occupy
+/// positions `starts[g]..starts[g + 1]` of `tids` and of every rank column.
+struct Runs {
+    starts: Vec<u32>,
+    tids: Vec<Tid>,
+    cols: Vec<Vec<u32>>,
+}
+
+impl Runs {
+    fn sort(side: &LaneSide, groups: &[u32], n_groups: usize) -> Runs {
+        let mut starts = vec![0u32; n_groups + 1];
+        for &g in groups.iter().filter(|&&g| g != NO_GROUP) {
+            if let Some(count) = starts.get_mut(g as usize + 1) {
+                *count += 1;
+            }
+        }
+        let mut total = 0u32;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
+        }
+        let len = total as usize;
+        let mut runs = Runs {
+            tids: vec![Tid(0); len],
+            cols: vec![vec![0; len]; side.cols.len()],
+            starts,
+        };
+        let mut next = runs.starts.clone();
+        for (row, (&g, &tid)) in groups.iter().zip(&side.tids).enumerate() {
+            let Some(at) = next.get_mut(g as usize) else {
+                continue;
+            };
+            let pos = *at as usize;
+            *at += 1;
+            if let Some(dst) = runs.tids.get_mut(pos) {
+                *dst = tid;
+            }
+            for (run_col, col) in runs.cols.iter_mut().zip(&side.cols) {
+                if let (Some(dst), Some(&rank)) = (run_col.get_mut(pos), col.get(row)) {
+                    *dst = rank;
+                }
+            }
+        }
+        runs
+    }
+
+    /// The positions and tids of group `g`'s run; `None` for
+    /// [`NO_GROUP`].
+    fn run(&self, g: u32) -> Option<(std::ops::Range<usize>, &[Tid])> {
+        if g == NO_GROUP {
+            return None;
+        }
+        let lo = *self.starts.get(g as usize)? as usize;
+        let hi = *self.starts.get(g as usize + 1)? as usize;
+        Some((lo..hi, self.tids.get(lo..hi)?))
+    }
+}
+
+/// The rank lane's FD/key kernel: pair `tid0`, whose compared cell has rank
+/// `rank0`, with every run row whose rank `r` satisfies `rank0 op r`. One
+/// monomorphic loop per operator keeps the scan a plain word compare.
+fn scan_run(
+    op: CmpOp,
+    rank0: u32,
+    tid0: Tid,
+    tids: &[Tid],
+    ranks: &[u32],
+    pairs: &mut Vec<(Tid, Tid)>,
+) {
+    fn scan(
+        tid0: Tid,
+        tids: &[Tid],
+        ranks: &[u32],
+        pairs: &mut Vec<(Tid, Tid)>,
+        hit: impl Fn(u32) -> bool,
+    ) {
+        for (&tid1, &r) in tids.iter().zip(ranks) {
+            if hit(r) {
+                pairs.push(ordered(tid0, tid1));
+            }
+        }
+    }
+    match op {
+        CmpOp::Eq => scan(tid0, tids, ranks, pairs, |r| rank0 == r),
+        CmpOp::Ne => scan(tid0, tids, ranks, pairs, |r| rank0 != r),
+        CmpOp::Lt => scan(tid0, tids, ranks, pairs, |r| rank0 < r),
+        CmpOp::Le => scan(tid0, tids, ranks, pairs, |r| rank0 <= r),
+        CmpOp::Gt => scan(tid0, tids, ranks, pairs, |r| rank0 > r),
+        CmpOp::Ge => scan(tid0, tids, ranks, pairs, |r| rank0 >= r),
+    }
+}
+
+/// The join key of a two-atom body: every variable shared between the
+/// atoms, at its first position in each (repeats inside an atom are checked
+/// by `match_atom_vids`). `None` for a cross product: nothing to hash on.
+fn join_key(a0: &Atom, a1: &Atom) -> Option<(Vec<usize>, Vec<usize>)> {
+    let vars0: BTreeSet<Var> = a0.vars().collect();
+    let vars1: BTreeSet<Var> = a1.vars().collect();
+    let (key_pos0, key_pos1): (Vec<usize>, Vec<usize>) = vars1
+        .intersection(&vars0)
+        .filter_map(|&v| Some((*a0.positions_of(v).first()?, *a1.positions_of(v).first()?)))
+        .unzip();
+    (!key_pos0.is_empty()).then_some((key_pos0, key_pos1))
+}
+
+/// A tid pair in ascending order: the canonical form of the set `{a, b}`.
+fn ordered(a: Tid, b: Tid) -> (Tid, Tid) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
 }
 
 /// [`CmpOp`] on ranks. Sound because the rank table is sorted in `Value`
@@ -801,6 +1024,9 @@ mod tests {
     use super::*;
     use cqa_query::eval::for_each_witness;
     use cqa_relation::{tuple, Database, RelationSchema};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// The instance of Example 3.5.
     pub(crate) fn example_3_5_db() -> Database {
@@ -915,68 +1141,135 @@ mod tests {
         assert!(cross.violations_hash_join(&db).is_none());
     }
 
+    /// The witness sets of `dc` by the generic evaluator.
+    fn generic_sets<F: Facts + ?Sized>(
+        dc: &DenialConstraint,
+        facts: &F,
+    ) -> BTreeSet<BTreeSet<Tid>> {
+        let mut generic = BTreeSet::new();
+        for_each_witness(facts, dc.body(), NullSemantics::Sql, &mut |w| {
+            generic.insert(w.tids.iter().copied().collect());
+            true
+        });
+        generic
+    }
+
+    /// A random cell: ints, integral and fractional floats, strings, inline
+    /// nulls (plain and labelled) and a table-resident null label (≥ 2³⁰).
+    /// With `novel`, also values the base never stores.
+    fn random_value(rng: &mut SmallRng, novel: bool) -> Value {
+        match rng.gen_range(0..if novel { 8 } else { 7 }) {
+            0 | 1 => Value::Int(rng.gen_range(-2..3)),
+            2 => Value::Float(rng.gen_range(-2..3) as f64), // canonicalizes to Int
+            3 => Value::Float(rng.gen_range(-2..2) as f64 + 0.5),
+            4 => Value::str(["a", "b", "c"][rng.gen_range(0..3)]),
+            5 => [Value::NULL, Value::Null(7)][rng.gen_range(0..2)].clone(),
+            6 => Value::Null(1 << 30),
+            _ => [
+                Value::str("novel"),
+                Value::Int(1_000),
+                Value::Float(9.25),
+                Value::Null((1 << 30) + 5),
+            ][rng.gen_range(0..4)]
+            .clone(),
+        }
+    }
+
+    fn random_row(rng: &mut SmallRng, arity: usize, novel: bool) -> cqa_relation::Tuple {
+        cqa_relation::Tuple::new((0..arity).map(|_| random_value(rng, novel)))
+    }
+
+    /// Bodies that must all take the rank lane: FD and key self-joins on one
+    /// and on two key columns, a `T`–`S` join on different key positions,
+    /// `<=` (a row pairs with itself: singleton sets), two comparisons,
+    /// constants present in and absent from the data, no comparison.
+    const LANE_BODIES: &[&str] = &[
+        "T(x, y, u), T(x, z, v), y != z",
+        "T(x, y, u), T(x, z, v), y < z",
+        "T(x, y, u), T(x, z, v), y <= z",
+        "T(x, y, u), T(x, y, v), u != v",
+        "T(x, y, u), T(x, y, v), u >= v",
+        "T(x, y, u), S(w, x), u < w",
+        "S(x, y), T(u, x, v), y != v",
+        "T(x, y, u), T(x, z, v), y < z, u >= v",
+        "T(x, y, u), T(x, z, v), y < z, u >= 2",
+        "T(x, y, u), T(x, z, v), y > 1",
+        "T(x, y, u), T(x, z, v), z != 'b'",
+        "T(x, y, u), T(x, z, v), y < 100",
+        "T(x, y, u), T(x, z, v), 'zzz' > y",
+        "T(x, y, u), T(x, z, v)",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random instances, on the database and on a repair view
+        /// with random deletions and overlay rows (novel values included),
+        /// every listed body takes the rank lane, and the lane's word-sized
+        /// rank comparisons reproduce the generic evaluator exactly.
+        #[test]
+        fn rank_lane_agrees_with_generic_evaluator(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut db = Database::new();
+            db.create_relation(RelationSchema::new("T", ["A", "B", "C"])).unwrap();
+            db.create_relation(RelationSchema::new("S", ["A", "B"])).unwrap();
+            for _ in 0..rng.gen_range(0..40) {
+                db.insert("T", random_row(&mut rng, 3, false)).unwrap();
+            }
+            for _ in 0..rng.gen_range(0..15) {
+                db.insert("S", random_row(&mut rng, 2, false)).unwrap();
+            }
+            let deleted: BTreeSet<Tid> = db.tids().into_iter().filter(|_| rng.gen_bool(0.2)).collect();
+            let inserted: Vec<(String, cqa_relation::Tuple)> = (0..rng.gen_range(0..8))
+                .map(|_| {
+                    if rng.gen_bool(0.7) {
+                        ("T".to_string(), random_row(&mut rng, 3, true))
+                    } else {
+                        ("S".to_string(), random_row(&mut rng, 2, true))
+                    }
+                })
+                .collect();
+            let view = cqa_relation::DeltaView::new(&db, &deleted, &inserted);
+            for body in LANE_BODIES {
+                let dc = DenialConstraint::parse("dc", body).unwrap();
+                let [a0, a1] = dc.body.atoms.as_slice() else {
+                    unreachable!()
+                };
+                let (kp0, kp1) = join_key(a0, a1).unwrap();
+                let facts: [&dyn Facts; 2] = [&db, &view];
+                for facts in facts {
+                    let lane = dc.violations_rank_lane(facts, a0, a1, &kp0, &kp1);
+                    prop_assert!(lane.is_some(), "{} should take the rank lane", body);
+                    prop_assert_eq!(lane.unwrap(), generic_sets(&dc, facts), "{}", body);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn rank_lane_agrees_with_generic_evaluator() {
-        // All-variable two-atom bodies take the rank lane; its word-sized
-        // rank comparisons must reproduce the generic evaluator exactly on
-        // mixed strings / ints / floats / nulls, including var-const
-        // comparisons whose constant is absent from the data.
+    fn rank_lane_declines_other_shapes() {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("T", ["A", "B", "C"]))
             .unwrap();
-        for i in 0..150i64 {
-            let a = Value::str(format!("grp_{}", i % 12));
-            let b = match i % 5 {
-                0 => cqa_relation::Value::NULL,
-                1 => Value::Int(i % 9 - 4),
-                2 => Value::Float((i % 9 - 4) as f64), // canonicalizes to Int
-                3 => Value::Float((i % 7) as f64 + 0.5),
-                _ => Value::str(format!("lbl_{}", i % 6)),
-            };
-            let c = Value::Int(i % 4);
-            db.insert("T", cqa_relation::Tuple::new([a, b, c])).unwrap();
-        }
-        for body in [
-            "T(x, y, u), T(x, z, v), y < z",         // FD-shaped var-var cmp
-            "T(x, y, u), T(x, z, v), y != z",        // inequality
-            "T(x, y, u), T(x, z, v), y < z, u >= 2", // cmp on both rows
-            "T(x, y, u), T(x, z, v), y > 1",         // const present in data
-            "T(x, y, u), T(x, z, v), y < 100",       // const absent from data
-            "T(x, y, u), T(x, z, v)",                // no comparison at all
-        ] {
-            let dc = DenialConstraint::parse("dc", body).unwrap();
-            let [a0, a1] = dc.body.atoms.as_slice() else {
-                unreachable!()
-            };
-            let lane = dc.violations_rank_lane(&db, a0, a1, &[0], &[0]);
-            assert!(lane.is_some(), "{body} should take the rank lane");
-            let mut generic = BTreeSet::new();
-            for_each_witness(&db, dc.body(), NullSemantics::Sql, &mut |w| {
-                generic.insert(w.tids.iter().copied().collect());
-                true
-            });
-            assert_eq!(lane.unwrap(), generic, "{body}");
+        for i in 0..60i64 {
+            db.insert("T", tuple![i % 6, i % 4, i % 3]).unwrap();
         }
         // Constants or repeated variables inside an atom decline the lane
-        // (the generic bucket loop handles them); a null comparison
-        // constant short-circuits to "no violations".
+        // (the generic bucket loop handles them).
         for body in ["T(x, y, 0), T(x, z, v)", "T(x, x, u), T(x, z, v)"] {
             let dc = DenialConstraint::parse("dc", body).unwrap();
             let [a0, a1] = dc.body.atoms.as_slice() else {
                 unreachable!()
             };
+            let (kp0, kp1) = join_key(a0, a1).unwrap();
             assert!(
-                dc.violations_rank_lane(&db, a0, a1, &[0], &[0]).is_none(),
+                dc.violations_rank_lane(&db, a0, a1, &kp0, &kp1).is_none(),
                 "{body} should decline the rank lane"
             );
             // The outer hash join still answers, via the generic bucket loop.
-            let mut generic = BTreeSet::new();
-            for_each_witness(&db, dc.body(), NullSemantics::Sql, &mut |w| {
-                generic.insert(w.tids.iter().copied().collect());
-                true
-            });
-            assert_eq!(dc.violations(&db), generic, "{body}");
+            assert_eq!(dc.violations(&db), generic_sets(&dc, &db), "{body}");
         }
+        // A null comparison constant short-circuits to "no violations".
         let nullk = DenialConstraint::new("n", {
             let mut q = parse_query("Q() :- T(x, y, u), T(x, z, v)").unwrap();
             q.comparisons.push(cqa_query::Comparison {

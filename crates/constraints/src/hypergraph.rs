@@ -26,8 +26,9 @@
 // audit:exponential — minimal/minimum hitting-set enumeration; every search loop must thread a Budget.
 use crate::components::ConflictComponents;
 use cqa_exec::{Budget, Outcome};
+use cqa_relation::fxhash::WordHashSet;
 use cqa_relation::Tid;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -47,6 +48,72 @@ fn par_split_depth() -> usize {
 /// edge lists under exactly this order).
 fn canonical_edge_order(a: &BTreeSet<Tid>, b: &BTreeSet<Tid>) -> std::cmp::Ordering {
     a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// Edges up to this size test dominance by enumerating their proper
+/// subsets; wider ones fall back to a pairwise scan of the kept edges.
+const ENUM_WIDTH: usize = 12;
+
+/// The canonical form of an edge list: sorted in [`canonical_edge_order`]
+/// (a pure function of the edge *set* regardless of input order, which is
+/// what lets `apply_violation_delta` binary-search it and merge into it),
+/// deduplicated, and with every edge that is a superset of another dropped.
+///
+/// Edges are processed in ascending size, so a kept subset always precedes
+/// the supersets it eliminates. Small edges (denial bodies are short, so
+/// this is the normal case) test "does a kept subset exist?" by enumerating
+/// their own proper subsets against a hash set of kept edges:
+/// `O(E · 2^|e|)` instead of the quadratic `O(E²)` pairwise scan, which
+/// made instances with ~10⁵ conflict pairs unusable. Each probe fills one
+/// reused scratch buffer and looks it up as a slice.
+fn canonical_edges(mut edges: Vec<BTreeSet<Tid>>) -> Vec<BTreeSet<Tid>> {
+    // A stable sort by size of a lexicographically sorted list is the
+    // canonical order. Violation sets usually arrive lexicographically
+    // sorted (from a `BTreeSet`), so the first sort is then one pass and
+    // the second compares sizes only.
+    edges.sort_unstable();
+    edges.dedup();
+    edges.sort_by_key(BTreeSet::len);
+    let mut kept: Vec<BTreeSet<Tid>> = Vec::with_capacity(edges.len());
+    // An edge of the largest size is no other edge's proper subset, so only
+    // smaller kept edges are indexed. Keys are sorted element slices
+    // (ascending-order masks over an ascending element list stay sorted).
+    let widest = edges.last().map_or(0, BTreeSet::len);
+    let mut kept_index: WordHashSet<Box<[Tid]>> = WordHashSet::with_capacity_and_hasher(
+        edges.partition_point(|e| e.len() < widest),
+        Default::default(),
+    );
+    let mut elems: Vec<Tid> = Vec::with_capacity(ENUM_WIDTH);
+    let mut sub: Vec<Tid> = Vec::with_capacity(ENUM_WIDTH);
+    for e in edges {
+        elems.clear();
+        elems.extend(e.iter().copied());
+        let dominated = if e.len() <= ENUM_WIDTH {
+            // Proper non-empty subsets only: the canonical sort makes exact
+            // duplicates adjacent, so `dedup` already removed them all and
+            // the full mask can never hit.
+            (1..(1u32 << elems.len()) - 1).any(|mask| {
+                sub.clear();
+                sub.extend(
+                    elems
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, t)| *t),
+                );
+                kept_index.contains(sub.as_slice())
+            })
+        } else {
+            kept.iter().any(|k| k.is_subset(&e))
+        };
+        if !dominated {
+            if e.len() < widest {
+                kept_index.insert(elems.as_slice().into());
+            }
+            kept.push(e);
+        }
+    }
+    kept
 }
 
 /// A conflict hyper-graph.
@@ -104,54 +171,30 @@ impl Eq for ConflictHypergraph {}
 impl ConflictHypergraph {
     /// Build from nodes and raw violation sets; dedupes and drops edges that
     /// are supersets of other edges (hitting the subset hits the superset).
-    ///
-    /// Edges are processed in ascending size, so a kept subset always
-    /// precedes the supersets it eliminates. Small edges (denial bodies are
-    /// short, so this is the normal case) test "does a kept subset exist?"
-    /// by enumerating their own proper subsets against a hash set of kept
-    /// edges — `O(E · 2^|e|)` instead of the quadratic `O(E²)` pairwise
-    /// scan, which made instances with ~10⁵ conflict pairs unusable. Edges
-    /// too wide to enumerate fall back to the pairwise scan.
+    /// The stored edges are in canonical (size, then lexicographic) order,
+    /// a pure function of the edge set regardless of input order.
     pub fn new(nodes: BTreeSet<Tid>, raw_edges: impl IntoIterator<Item = BTreeSet<Tid>>) -> Self {
-        let mut edges: Vec<BTreeSet<Tid>> = raw_edges.into_iter().collect();
-        // Full canonical (size, lexicographic) sort: the stored edge order
-        // is a pure function of the edge *set* regardless of input order,
-        // which is what lets `apply_violation_delta` binary-search it and
-        // merge into it.
-        edges.sort_by(canonical_edge_order);
-        edges.dedup();
-        let mut kept: Vec<BTreeSet<Tid>> = Vec::with_capacity(edges.len());
-        // Keys are sorted element vectors (ascending-order masks over an
-        // ascending element list stay sorted): one flat allocation per
-        // probe instead of a tree, and cheap to hash.
-        let mut kept_index: HashSet<Vec<Tid>> = HashSet::with_capacity(edges.len());
-        const ENUM_WIDTH: usize = 12;
-        for e in edges {
-            let dominated = if e.len() <= ENUM_WIDTH {
-                let elems: Vec<Tid> = e.iter().copied().collect();
-                // Proper non-empty subsets only: the canonical sort makes
-                // exact duplicates adjacent, so `dedup` already removed
-                // them all and the full mask can never hit.
-                (1..(1u32 << elems.len()) - 1).any(|mask| {
-                    let sub: Vec<Tid> = elems
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, t)| *t)
-                        .collect();
-                    kept_index.contains(&sub)
-                })
-            } else {
-                kept.iter().any(|k| k.is_subset(&e))
-            };
-            if !dominated {
-                kept_index.insert(e.iter().copied().collect());
-                kept.push(e);
-            }
-        }
         ConflictHypergraph {
             nodes,
-            edges: kept,
+            edges: canonical_edges(raw_edges.into_iter().collect()),
+            components: OnceLock::new(),
+        }
+    }
+
+    /// Build from edges that are already canonical: in canonical edge
+    /// order, deduplicated and superset-free, exactly as
+    /// [`ConflictHypergraph::new`] stores them. An in-order sub-list of a
+    /// graph's edges qualifies, which is how each connected component gets
+    /// its graph without re-running the sort and the dominance test. Debug
+    /// builds check the condition.
+    pub(crate) fn from_canonical(nodes: BTreeSet<Tid>, edges: Vec<BTreeSet<Tid>>) -> Self {
+        debug_assert!(
+            canonical_edges(edges.clone()) == edges,
+            "edges must be in canonical order and superset-free"
+        );
+        ConflictHypergraph {
+            nodes,
+            edges,
             components: OnceLock::new(),
         }
     }
@@ -272,7 +315,6 @@ impl ConflictHypergraph {
         let mut add_sorted: Vec<&BTreeSet<Tid>> = added.iter().collect();
         add_sorted.sort_by(|a, b| canonical_edge_order(a, b));
         let mut accepted: Vec<BTreeSet<Tid>> = Vec::new();
-        const ENUM_WIDTH: usize = 12;
         for a in add_sorted {
             let dominated = if a.len() <= ENUM_WIDTH {
                 let elems: Vec<Tid> = a.iter().copied().collect();

@@ -158,6 +158,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -171,8 +172,47 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Does any byte of `word` end a plain string run: `"`, `\` or a control
+/// byte below 0x20? Each test is the has-zero-byte trick,
+/// `(x - 0x01…) & !x & 0x80…`, which is exact for the word as a whole: on
+/// `word` xor each delimiter, and in its has-less-than form for the
+/// controls. The three share one mask and one branch.
+fn ends_run(word: u64) -> bool {
+    let quote = word ^ (ONES * b'"' as u64);
+    let slash = word ^ (ONES * b'\\' as u64);
+    let zeros = quote.wrapping_sub(ONES) & !quote | slash.wrapping_sub(ONES) & !slash;
+    let controls = word.wrapping_sub(ONES * 0x20) & !word;
+    (zeros | controls) & HIGHS != 0
+}
+
+/// Length of the plain run at the start of `bytes`: the bytes a string
+/// copies verbatim, up to its closing quote, an escape or a control byte.
+/// Whole words are skipped eight bytes at a time; the word that holds the
+/// run's end, and the tail, go through the byte loop.
+fn plain_run(bytes: &[u8]) -> usize {
+    let mut n = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let Ok(word) = <[u8; 8]>::try_from(chunk) else {
+            break;
+        };
+        if ends_run(u64::from_le_bytes(word)) {
+            break;
+        }
+        n += 8;
+    }
+    let tail = bytes.get(n..).unwrap_or(&[]);
+    n + tail
+        .iter()
+        .take_while(|&&b| b != b'"' && b != b'\\' && b >= 0x20)
+        .count()
 }
 
 impl Parser<'_> {
@@ -279,56 +319,64 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        // The bytes up to the first quote bound the output unless the
+        // string holds an escaped quote: reserve that once.
+        let rest = self.text.get(self.pos..).unwrap_or("");
+        let mut out = String::with_capacity(rest.find('"').unwrap_or(rest.len()));
         loop {
             let start = self.pos;
-            // Fast path: a run of plain bytes (valid UTF-8 by construction —
-            // the input is a &str).
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let run = self.bytes.get(start..self.pos).unwrap_or(&[]);
-                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
-            }
+            self.pos += plain_run(self.bytes.get(start..).unwrap_or(&[]));
+            // A run starts after an ASCII byte and ends before one (or at
+            // the end of the input), so it is a whole `&str` slice.
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| format!("invalid UTF-8 at byte {start}"))?;
+            out.push_str(run);
             match self.bump() {
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = self.hex4()?;
-                        // Surrogate pairs: a high surrogate must be followed
-                        // by an escaped low surrogate.
-                        let c = if (0xD800..0xDC00).contains(&code) {
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err("unpaired surrogate".to_string());
-                            }
-                            let low = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err("invalid low surrogate".to_string());
-                            }
-                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
-                        } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
-                    }
-                    _ => return Err(format!("bad escape at byte {}", self.pos)),
-                },
+                Some(b'\\') => self.escape(&mut out)?,
                 Some(b) if b < 0x20 => {
                     return Err(format!("raw control byte in string at {}", self.pos - 1))
                 }
                 _ => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// Decode the escape that follows a backslash onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let code = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by an
+                // escaped low surrogate.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err("unpaired surrogate".to_string());
+                    }
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err("invalid low surrogate".to_string());
+                    }
+                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined)
+                } else {
+                    char::from_u32(code)
+                };
+                out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -378,6 +426,146 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Parser<'_> {
+        /// The byte-at-a-time string loop the word scan replaced, kept as
+        /// the reference for `word_scan_matches_byte_loop`.
+        fn string_reference(&mut self) -> Result<String, String> {
+            self.eat(b'"')?;
+            let mut out = String::new();
+            loop {
+                let start = self.pos;
+                // Fast path: a run of plain bytes (valid UTF-8 by construction —
+                // the input is a &str).
+                while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                    self.pos += 1;
+                }
+                if self.pos > start {
+                    let run = self.bytes.get(start..self.pos).unwrap_or(&[]);
+                    out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                }
+                match self.bump() {
+                    Some(b'"') => return Ok(out),
+                    Some(b'\\') => match self.bump() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let code = self.hex4()?;
+                            // Surrogate pairs: a high surrogate must be followed
+                            // by an escaped low surrogate.
+                            let c = if (0xD800..0xDC00).contains(&code) {
+                                if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                                    return Err("unpaired surrogate".to_string());
+                                }
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err("invalid low surrogate".to_string());
+                                }
+                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                char::from_u32(combined)
+                            } else {
+                                char::from_u32(code)
+                            };
+                            out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    },
+                    Some(b) if b < 0x20 => {
+                        return Err(format!("raw control byte in string at {}", self.pos - 1))
+                    }
+                    _ => return Err("unterminated string".to_string()),
+                }
+            }
+        }
+    }
+
+    /// Parse one string token of `input` with the word scan and with the
+    /// reference loop: the results and the end positions.
+    fn both_scans(input: &str) -> [(Result<String, String>, usize); 2] {
+        let parser = || Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        let (mut fast, mut slow) = (parser(), parser());
+        [
+            (fast.string(), fast.pos),
+            (slow.string_reference(), slow.pos),
+        ]
+    }
+
+    /// String pieces that end, straddle or break plain runs: escapes
+    /// (valid, malformed and truncated), multibyte characters, raw control
+    /// bytes and DEL.
+    const PIECES: &[&str] = &[
+        "a",
+        "xyz",
+        "é",
+        "€",
+        "😀",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u00e9",
+        "\\ud83d\\ude00",
+        "\\q",
+        "\\u12",
+        "\\ud800x",
+        "\\udc00",
+        "\\ud800\\u0041",
+        "\u{1}",
+        "\t",
+        "\u{1f}",
+        "\u{7f}",
+        "\\",
+    ];
+
+    #[test]
+    fn word_scan_matches_byte_loop_at_every_offset() {
+        // Each piece after 0..24 plain bytes, so it lands at every offset
+        // mod 8 of the word scan, with and without a closing quote.
+        for piece in PIECES {
+            for pad in 0..24 {
+                for close in ["\"", "tail\"", ""] {
+                    let input = format!("\"{}{piece}{close}", "p".repeat(pad));
+                    let [fast, slow] = both_scans(&input);
+                    assert_eq!(fast, slow, "{input:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_scan_matches_byte_loop(
+            picks in proptest::collection::vec(0..PIECES.len(), 0..24),
+            close in any::<bool>(),
+        ) {
+            let mut input = String::from("\"");
+            for &i in &picks {
+                input.push_str(PIECES.get(i).copied().unwrap_or(""));
+            }
+            if close {
+                input.push('"');
+            }
+            let [fast, slow] = both_scans(&input);
+            prop_assert_eq!(fast, slow, "{:?}", input);
+        }
+    }
 
     #[test]
     fn round_trips_structures() {

@@ -1,10 +1,12 @@
 //! The panic-free input surface, fuzzed: arbitrary byte strings and
 //! near-valid mutations (truncations, insertions, byte flips) are fed to
 //! every parser that accepts user-controlled text — the relation codec, the
-//! constraint parser, the query parser — and to the `repairctl` argument
-//! dispatcher. The only assertion is that nothing panics: malformed input
-//! must come back as a typed error (`RelationError::Codec` with line and
-//! column, a `ParseError`, or a CLI diagnostic), never as an abort.
+//! constraint parser, the query parser, `repaird`'s JSON parser and its
+//! HTTP request reader — and to the `repairctl` argument dispatcher. The
+//! only assertion is that nothing panics: malformed input must come back as
+//! a typed error (`RelationError::Codec` with line and column, a
+//! `ParseError`, a JSON error message, an `HttpError`, or a CLI
+//! diagnostic), never as an abort.
 //!
 //! A proptest failure here is a crash bug by definition; the shrunk input
 //! is the reproducer.
@@ -36,6 +38,69 @@ fd R: A -> B\n\
 dc R(x, y, z), S(x)\n";
 
 const VALID_QUERY: &str = "Q(x, y) :- R(x, y, z), S(x), y != z";
+
+/// A small `POST /sessions` body. Its strings hold `\n` and `\"` escapes,
+/// an escaped surrogate pair, raw multibyte text, and runs longer than the
+/// eight bytes the JSON string scan reads at a time, so one-byte damage
+/// lands inside escapes, multibyte sequences and scanned words alike.
+const VALID_CREATE: &str = r#"{"db": "@relation T(K, V)\n'k\"é', 'grüße 😀 straße'\n0, 1\n0, 2\n", "constraints": "key T(K)\n", "note": "snowman \u2603, face \ud83d\ude00, tab\t", "n": [1, -2.5e3, true, null]}"#;
+
+/// A well-formed keep-alive query request (head plus its JSON body).
+fn valid_request() -> Vec<u8> {
+    let body = r#"{"query": "Q(x) :- T(x, y)", "class": "certain"}"#;
+    format!(
+        "POST /sessions/1/query?trace=1 HTTP/1.1\r\nHost: localhost\r\n\
+         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Read requests off `bytes` the way a connection does, until the stream
+/// ends or a request fails. Only panics are errors.
+fn read_all_requests(bytes: &[u8]) {
+    let mut reader = std::io::BufReader::new(bytes);
+    for _ in 0..4 {
+        match cqa_server::read_request(&mut reader, 1 << 16) {
+            Ok(Some(_)) => {}
+            Ok(None) | Err(_) => return,
+        }
+    }
+}
+
+/// Request bytes: byte-level mutations of [`valid_request`] (truncations,
+/// insertions, overwrites, so also non-UTF-8 heads), the request with a bad
+/// `Content-Length`, and raw garbage.
+fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let valid = valid_request();
+    let len = valid.len();
+    let mutated = (0usize..len, any::<u8>(), 0u8..3).prop_map(move |(i, b, op)| {
+        let mut v = valid_request();
+        match op {
+            0 => v.truncate(i),
+            1 => v.insert(i, b),
+            _ => v[i] = b,
+        }
+        v
+    });
+    let bad_length = prop_oneof![
+        Just("-1"),
+        Just("abc"),
+        Just(""),
+        Just("0"),
+        Just("5"),
+        Just("4096"),
+        Just("1e3"),
+        Just("18446744073709551616"),
+        Just("99999999999999"),
+    ]
+    .prop_map(|n| {
+        format!("POST /sessions HTTP/1.1\r\nContent-Length: {n}\r\n\r\n{{\"db\": \"\"}}")
+            .into_bytes()
+    });
+    let garbage = proptest::collection::vec(any::<u8>(), 0..64);
+    prop_oneof![mutated, bad_length, garbage]
+}
 
 /// Mutate a seed string: truncate at a byte index, insert a byte, or
 /// overwrite a byte. Lossy UTF-8 recovery keeps the result a `&str` (the
@@ -76,6 +141,16 @@ proptest! {
     #[test]
     fn query_parser_never_panics(s in prop_oneof![mutations(VALID_QUERY), garbage()]) {
         let _ = cqa_query::parse_query(&s);
+    }
+
+    #[test]
+    fn json_parser_never_panics(s in prop_oneof![mutations(VALID_CREATE), garbage()]) {
+        let _ = cqa_server::json::parse(&s);
+    }
+
+    #[test]
+    fn request_reader_never_panics(bytes in request_bytes()) {
+        read_all_requests(&bytes);
     }
 
     #[test]
@@ -127,4 +202,42 @@ fn one_byte_truncations_of_a_valid_file_never_panic() {
             );
         }
     }
+}
+
+/// The server's input surface, pinned: the create body parses, every
+/// one-byte-short cut of it is a JSON error, and every truncation of a
+/// request is a disconnect, the case of a body shorter than its
+/// `Content-Length` included.
+#[test]
+fn server_truncations_are_errors_not_panics() {
+    let parsed = cqa_server::json::parse(VALID_CREATE).unwrap();
+    assert_eq!(
+        parsed.get("note").and_then(cqa_server::Json::as_str),
+        Some("snowman \u{2603}, face \u{1f600}, tab\t")
+    );
+    for cut in 0..VALID_CREATE.len() {
+        let s = String::from_utf8_lossy(&VALID_CREATE.as_bytes()[..cut]);
+        assert!(cqa_server::json::parse(&s).is_err(), "cut {cut} parsed");
+    }
+
+    let request = valid_request();
+    let mut reader = std::io::BufReader::new(&request[..]);
+    assert!(matches!(
+        cqa_server::read_request(&mut reader, 1 << 16),
+        Ok(Some(_))
+    ));
+    for cut in 1..request.len() {
+        let mut reader = std::io::BufReader::new(&request[..cut]);
+        assert_eq!(
+            cqa_server::read_request(&mut reader, 1 << 16),
+            Err(cqa_server::HttpError::Disconnected),
+            "cut {cut}"
+        );
+    }
+    let short = b"POST /sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}";
+    let mut reader = std::io::BufReader::new(&short[..]);
+    assert_eq!(
+        cqa_server::read_request(&mut reader, 1 << 16),
+        Err(cqa_server::HttpError::Disconnected)
+    );
 }
