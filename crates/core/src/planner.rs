@@ -2,9 +2,10 @@
 //! entry point that *plans* how to answer a query consistently, choosing
 //! the cheapest sound-and-complete strategy available:
 //!
-//! 1. **FO rewriting** (attack graph) when Σ is a set of primary keys and
-//!    the query is a self-join-free CQ with an acyclic attack graph —
-//!    evaluated directly on the inconsistent instance, no repairs;
+//! 1. **FO rewriting** (attack graph) when Σ is a set of primary keys, the
+//!    query is a self-join-free CQ with an acyclic attack graph, and no
+//!    relation the query reads holds a SQL null — evaluated directly on the
+//!    inconsistent instance, no repairs;
 //! 2. **repair enumeration** otherwise (the reference semantics).
 //!
 //! The chosen strategy is reported so callers can log/inspect it, mirroring
@@ -17,7 +18,7 @@ use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
 use cqa_analysis::{lint_constraints, lint_query, DiagCode, Diagnostic};
 use cqa_constraints::{ConflictHypergraph, Constraint, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
-use cqa_query::{eval_fo, NullSemantics, UnionQuery};
+use cqa_query::{eval_fo, ConjunctiveQuery, NullSemantics, UnionQuery};
 use cqa_relation::{Database, RelationError, Tuple};
 use std::collections::BTreeSet;
 
@@ -85,6 +86,22 @@ fn keys_only(db: &Database, sigma: &ConstraintSet) -> Option<KeyPositions> {
         }
     }
     Some(keys)
+}
+
+/// The first relation `cq` reads that holds a SQL null. The FO rewriting
+/// compares keys and join values structurally, while CQA evaluates repairs
+/// under SQL semantics, where a null joins nothing, makes no key conflict
+/// and never appears in a certain answer; the two agree only when the
+/// relations the query reads are null-free.
+fn null_holding_relation<'q>(db: &Database, cq: &'q ConjunctiveQuery) -> Option<&'q str> {
+    cq.atoms
+        .iter()
+        .chain(&cq.negated)
+        .map(|atom| atom.relation.as_str())
+        .find(|name| {
+            db.relation(name)
+                .is_some_and(|rel| rel.tuples().any(Tuple::has_null))
+        })
 }
 
 /// Answer `query` consistently with the best available strategy.
@@ -173,6 +190,13 @@ fn plan_with(
         if let [cq] = &query.disjuncts[..] {
             match rewrite_key_query(cq, &keys) {
                 Ok(fo) => {
+                    if let Some(relation) = null_holding_relation(db, cq) {
+                        let reason = format!(
+                            "relation {relation} holds SQL nulls: the FO rewriting is exact \
+                             only on null-free relations"
+                        );
+                        return fallback(db, sigma, query, reason, diagnostics, budget, prebuilt);
+                    }
                     return Ok(Outcome::Exact(PlannedAnswer {
                         answers: eval_fo(db, &fo, NullSemantics::Structural),
                         strategy: Strategy::FoRewriting,
@@ -353,7 +377,7 @@ mod tests {
     use super::*;
     use cqa_constraints::{DenialConstraint, KeyConstraint};
     use cqa_query::parse_query;
-    use cqa_relation::{tuple, RelationSchema};
+    use cqa_relation::{tuple, RelationSchema, Value};
 
     fn employee() -> (Database, ConstraintSet) {
         let mut db = Database::new();
@@ -377,6 +401,47 @@ mod tests {
         let reference =
             crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         assert_eq!(planned.answers, reference);
+    }
+
+    #[test]
+    fn sql_nulls_keep_the_planner_off_the_fo_rewriting() {
+        // Under SQL semantics (1, NULL) and (1, 'b') make no key conflict,
+        // NULL joins nothing, and an answer holding a null is never certain.
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("R", ["K", "V"]))
+            .unwrap();
+        db.create_relation(RelationSchema::new("S", ["W"])).unwrap();
+        for (k, v) in [
+            (1, None),
+            (1, Some("b")),
+            (2, Some("a")),
+            (2, Some("c")),
+            (3, None),
+        ] {
+            let v = v.map_or(Value::NULL, Value::str);
+            db.insert("R", Tuple::new([Value::Int(k), v])).unwrap();
+        }
+        db.insert("S", Tuple::new([Value::NULL])).unwrap();
+        db.insert("S", tuple!["a"]).unwrap();
+        let sigma = ConstraintSet::from_iter([KeyConstraint::new("R", ["K"])]);
+        for (text, expected) in [
+            ("Q(x, y) :- R(x, y)", BTreeSet::from([tuple![1, "b"]])),
+            ("Q(x) :- R(x, y), S(y)", BTreeSet::new()),
+            ("Q(y) :- R(x, y)", BTreeSet::from([tuple!["b"]])),
+        ] {
+            let q = UnionQuery::single(parse_query(text).unwrap());
+            let planned = answer_consistently(&db, &sigma, &q).unwrap();
+            assert_eq!(planned.answers, expected, "{text}");
+            let reference =
+                crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
+            assert_eq!(planned.answers, reference, "{text}");
+            match &planned.strategy {
+                Strategy::RepairEnumeration { reason } => {
+                    assert!(reason.contains("relation R holds SQL nulls"), "{reason}");
+                }
+                other => panic!("{text}: expected repair enumeration, got {other:?}"),
+            }
+        }
     }
 
     #[test]
