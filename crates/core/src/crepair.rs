@@ -14,36 +14,13 @@ use cqa_relation::{Database, RelationError};
 use std::sync::Arc;
 
 /// All C-repairs of `db` with respect to `sigma`.
-pub fn c_repairs(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with(db, sigma, &RepairOptions::default())
-}
-
-/// All C-repairs, with search options (used for deletion-only semantics).
 ///
-/// Clones `db` once into a shared [`Arc`] base; see [`c_repairs_with_arc`].
-pub fn c_repairs_with(
-    db: &Database,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with_arc(&Arc::new(db.clone()), sigma, options)
-}
-
-/// All C-repairs over a shared base instance, clone-free.
-pub fn c_repairs_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with_arc(db, sigma, &RepairOptions::default())
-}
-
-/// All C-repairs over a shared base instance, with search options.
-pub fn c_repairs_with_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    Ok(c_repairs_budgeted(db, sigma, options, &Budget::unlimited())?.into_value())
+/// Clones `db` once into a shared [`Arc`] base; callers that already hold
+/// one call [`c_repairs_budgeted`] with [`Budget::unlimited`].
+pub fn c_repairs(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Repair>, RelationError> {
+    let base = Arc::new(db.clone());
+    let options = RepairOptions::default();
+    Ok(c_repairs_budgeted(&base, sigma, &options, &Budget::unlimited())?.into_value())
 }
 
 /// Budget-aware C-repair enumeration.
@@ -111,7 +88,7 @@ pub(crate) fn denial_class_c_repairs(
     let mut out: Vec<Repair> = hitting_sets
         .into_value()
         .into_iter()
-        .map(|hs| Repair::from_delta_arc(db, hs, Vec::new()))
+        .map(|hs| Repair::from_delta(db, hs, Vec::new()))
         .collect::<Result<_, _>>()?;
     sort_by_delta(&mut out);
     Ok(budget.outcome_with(out, explored))

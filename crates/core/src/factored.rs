@@ -185,7 +185,7 @@ impl FactoredRepairSet {
             if !budget.charge_item() {
                 break;
             }
-            out.push(Repair::from_delta_arc(&self.base, deleted, Vec::new())?);
+            out.push(Repair::from_delta(&self.base, deleted, Vec::new())?);
         }
         crate::repair::sort_by_delta(&mut out);
         Ok(out)

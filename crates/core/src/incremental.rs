@@ -59,7 +59,7 @@ pub fn repairs_after_insert(
     let graph = ConflictHypergraph::new(updated.tids(), violations);
     let mut repairs = Vec::new();
     for hs in graph.minimal_hitting_sets(None) {
-        repairs.push(Repair::from_delta_arc(&updated, hs, Vec::new())?);
+        repairs.push(Repair::from_delta(&updated, hs, Vec::new())?);
     }
     crate::repair::sort_by_delta(&mut repairs);
     Ok(IncrementalRepairs {

@@ -47,17 +47,12 @@ pub use checking::{
     RepairSemantics,
 };
 pub use cqa::{
-    aggregate_range_over, aggregate_ranges_over, certain_over, certainly_true, certainly_true_over,
-    consistent_aggregate_range, consistent_aggregate_ranges, consistent_answers,
-    consistent_answers_budgeted, consistent_answers_factored_budgeted, cqa_report,
-    cqa_report_budgeted, possible_answers, possible_answers_budgeted,
-    possible_answers_factored_budgeted, possible_over, repairs_of, CqaReport, FactoredAnswers,
-    RepairClass,
+    certain_over, certainly_true, consistent_aggregate_range, consistent_aggregate_ranges,
+    consistent_answers, consistent_answers_budgeted, consistent_answers_factored_budgeted,
+    possible_answers, possible_answers_budgeted, possible_answers_factored_budgeted, possible_over,
+    repairs_of, FactoredAnswers, RepairClass,
 };
-pub use crepair::{
-    c_repairs, c_repairs_arc, c_repairs_budgeted, c_repairs_with, c_repairs_with_arc,
-    min_repair_distance,
-};
+pub use crepair::{c_repairs, c_repairs_budgeted, min_repair_distance};
 pub use delta::{IncrementalState, MaintenanceDecision};
 pub use factored::{
     factored_c_repairs_budgeted, factored_s_repairs_budgeted, FactoredRepairSet, Factorization,
@@ -75,9 +70,6 @@ pub use privacy::SecrecyView;
 pub use repair::{retain_subset_minimal, Change, Repair};
 pub use rewrite::{attack_graph, residue_rewrite, rewrite_key_query, KeyRewriteError};
 pub use session::CqaSession;
-pub use srepair::{
-    consistent_core, s_repairs, s_repairs_arc, s_repairs_budgeted, s_repairs_with,
-    s_repairs_with_arc, RepairOptions,
-};
+pub use srepair::{consistent_core, s_repairs, s_repairs_budgeted, s_repairs_with, RepairOptions};
 pub use tolerant::{ar_answers, iar_answers};
 pub use update_repair::{min_change_update_repair, update_repairs, CellUpdate, UpdateRepair};

@@ -70,7 +70,7 @@ impl Repair {
     /// The delta is validated up front (unknown tids, unknown relations,
     /// arity mismatches), so the lazy accessors are infallible. No instance
     /// is cloned: the repair holds `original` by `Arc`.
-    pub fn from_delta_arc(
+    pub fn from_delta(
         original: &Arc<Database>,
         deleted: BTreeSet<Tid>,
         inserted: Vec<(String, Tuple)>,
@@ -90,18 +90,6 @@ impl Repair {
             materialized: OnceLock::new(),
             delta: OnceLock::new(),
         })
-    }
-
-    /// Build a repair from the original instance and a delta.
-    ///
-    /// Convenience wrapper that clones `original` into a fresh [`Arc`];
-    /// enumeration hot paths share one `Arc` via [`Repair::from_delta_arc`].
-    pub fn from_delta(
-        original: &Database,
-        deleted: BTreeSet<Tid>,
-        inserted: Vec<(String, Tuple)>,
-    ) -> cqa_relation::Result<Repair> {
-        Repair::from_delta_arc(&Arc::new(original.clone()), deleted, inserted)
     }
 
     /// The shared base (original) instance this repair applies to.
@@ -269,12 +257,12 @@ mod tests {
     use super::*;
     use cqa_relation::{tuple, Facts, RelationSchema};
 
-    fn db() -> Database {
+    fn db() -> Arc<Database> {
         let mut d = Database::new();
         d.create_relation(RelationSchema::new("R", ["A"])).unwrap();
         d.insert("R", tuple!["a"]).unwrap();
         d.insert("R", tuple!["b"]).unwrap();
-        d
+        Arc::new(d)
     }
 
     #[test]
@@ -309,8 +297,8 @@ mod tests {
 
     #[test]
     fn materialization_is_lazy_and_cached() {
-        let base = Arc::new(db());
-        let r = Repair::from_delta_arc(&base, [Tid(1)].into(), vec![]).unwrap();
+        let base = db();
+        let r = Repair::from_delta(&base, [Tid(1)].into(), vec![]).unwrap();
         // Nothing materialized yet.
         assert!(r.materialized.get().is_none());
         let first = r.db() as *const Database;
@@ -320,9 +308,9 @@ mod tests {
 
     #[test]
     fn view_agrees_with_materialized_db() {
-        let base = Arc::new(db());
-        let r = Repair::from_delta_arc(&base, [Tid(2)].into(), vec![("R".into(), tuple!["c"])])
-            .unwrap();
+        let base = db();
+        let r =
+            Repair::from_delta(&base, [Tid(2)].into(), vec![("R".into(), tuple!["c"])]).unwrap();
         let view = r.view();
         assert!(view.snapshot().same_content(r.db()));
         assert_eq!(view.relation_len("R"), r.db().relation("R").unwrap().len());
@@ -372,7 +360,7 @@ mod tests {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, t)| *t)
                 .collect();
-            repairs.push(Repair::from_delta_arc(&base, deleted, vec![]).unwrap());
+            repairs.push(Repair::from_delta(&base, deleted, vec![]).unwrap());
         }
         repairs.reverse();
         let mut expected: Vec<BTreeSet<Tid>> = {
@@ -389,8 +377,7 @@ mod tests {
         );
         // With an insertion in the list the comparator falls back to deltas.
         repairs.push(
-            Repair::from_delta_arc(&base, [Tid(1)].into(), vec![("R".into(), tuple!["c"])])
-                .unwrap(),
+            Repair::from_delta(&base, [Tid(1)].into(), vec![("R".into(), tuple!["c"])]).unwrap(),
         );
         repairs.rotate_right(1);
         expected = {

@@ -128,31 +128,15 @@ pub fn s_repairs(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Repair>, Re
 ///
 /// The original instance is cloned **once** into a shared [`Arc`] base; the
 /// enumerated repairs are copy-on-write deltas over it. Callers that already
-/// hold an `Arc<Database>` should use [`s_repairs_with_arc`] to skip even
-/// that clone.
+/// hold an `Arc<Database>` call [`s_repairs_budgeted`] with
+/// [`Budget::unlimited`] to skip even that clone.
 pub fn s_repairs_with(
     db: &Database,
     sigma: &ConstraintSet,
     options: &RepairOptions,
 ) -> Result<Vec<Repair>, RelationError> {
-    s_repairs_with_arc(&Arc::new(db.clone()), sigma, options)
-}
-
-/// Enumerate all S-repairs over a shared base instance, clone-free.
-pub fn s_repairs_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-) -> Result<Vec<Repair>, RelationError> {
-    s_repairs_with_arc(db, sigma, &RepairOptions::default())
-}
-
-/// Enumerate S-repairs over a shared base instance with explicit options.
-pub fn s_repairs_with_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    Ok(s_repairs_budgeted(db, sigma, options, &Budget::unlimited())?.into_value())
+    let base = Arc::new(db.clone());
+    Ok(s_repairs_budgeted(&base, sigma, options, &Budget::unlimited())?.into_value())
 }
 
 /// Budget-aware S-repair enumeration: the anytime entry point behind
@@ -233,7 +217,7 @@ pub(crate) fn denial_class_s_repairs(
     let mut repairs = hitting_sets
         .into_value()
         .into_iter()
-        .map(|hs| Repair::from_delta_arc(db, hs, Vec::new()))
+        .map(|hs| Repair::from_delta(db, hs, Vec::new()))
         .collect::<Result<Vec<Repair>, RelationError>>()?;
     sort_by_delta(&mut repairs);
     Ok(budget.outcome_with(repairs, explored))
@@ -287,14 +271,14 @@ fn general_s_repairs(
             {
                 return;
             }
-            let repair =
-                match Repair::from_delta_arc(self.original, deleted.clone(), inserted.clone()) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                };
+            let repair = match Repair::from_delta(self.original, deleted.clone(), inserted.clone())
+            {
+                Ok(r) => r,
+                Err(e) => {
+                    self.error = Some(e);
+                    return;
+                }
+            };
             // Prune: a superset of an already-consistent delta cannot be
             // ⊆-minimal.
             if self

@@ -10,11 +10,11 @@
 //!   answers per repair, which is why the OBDA literature uses it as the
 //!   tractable fallback.
 
-use crate::cqa::{consistent_answers, RepairClass};
+use crate::cqa::{consistent_answers, core_answers, RepairClass};
 use crate::srepair::consistent_core;
 use cqa_constraints::ConstraintSet;
-use cqa_query::{eval_ucq, NullSemantics, UnionQuery};
-use cqa_relation::{Database, RelationError, Tuple};
+use cqa_query::UnionQuery;
+use cqa_relation::{Database, RelationError, Tid, Tuple};
 use std::collections::BTreeSet;
 
 /// AR answers: true in every repair (an alias of CQA, named for the OBDA
@@ -27,25 +27,23 @@ pub fn ar_answers(
     consistent_answers(db, sigma, query, &RepairClass::Subset)
 }
 
-/// IAR answers: evaluate over the intersection of all S-repairs.
+/// IAR answers: evaluate over the intersection of all S-repairs, as a view
+/// of `db` without the tuples some S-repair deletes.
 pub fn iar_answers(
     db: &Database,
     sigma: &ConstraintSet,
     query: &UnionQuery,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let core = consistent_core(db, sigma)?;
-    let core_db = db.restricted_to(&core);
-    Ok(eval_ucq(&core_db, query, NullSemantics::Sql)
-        .into_iter()
-        .filter(|t| !t.has_null())
-        .collect())
+    let conflicted: BTreeSet<Tid> = db.tids().difference(&core).copied().collect();
+    Ok(core_answers(db, &conflicted, query))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqa_constraints::KeyConstraint;
-    use cqa_query::parse_query;
+    use cqa_query::{parse_query, NullSemantics};
     use cqa_relation::{tuple, RelationSchema};
 
     fn db() -> (Database, ConstraintSet) {
