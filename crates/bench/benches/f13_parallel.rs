@@ -1,9 +1,9 @@
 //! F13: the cqa-exec scoped pool vs the exact sequential code paths, on
 //! the hot loops it parallelizes — repair-enumeration CQA (F1 shape),
 //! hitting-set search (F3 shape) and responsibility (F5 shape) — plus the
-//! denial-constraint hash-join fast path vs the generic witness evaluator
-//! it replaced. `with_threads` pins the count per measurement, so the two
-//! sides of each comparison run the same binary on the same inputs.
+//! denial-constraint rank lane vs the generic witness evaluator.
+//! `with_threads` pins the count per measurement, so the two sides of each
+//! comparison run the same binary on the same inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -74,7 +74,7 @@ fn bench_responsibility(c: &mut Criterion) {
     group.finish();
 }
 
-/// The generic evaluator the hash join replaced for binary denial
+/// The generic evaluator, which the rank lane bypasses for binary denial
 /// constraints: enumerate every witness of the body and collect its tids.
 fn violations_generic(
     dc: &DenialConstraint,
@@ -88,13 +88,14 @@ fn violations_generic(
     out
 }
 
-fn bench_violations_hash_join(c: &mut Criterion) {
-    let mut group = c.benchmark_group("f13_violations_hash_join");
+fn bench_violations_rank_lane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("f13_violations_rank_lane");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     // FD-shaped self-join T(K)→V over n tuples in groups of 4 per key: the
-    // hash join probes one bucket per tuple where the generic evaluator
-    // scans the whole relation per tuple.
+    // rank lane pairs each tuple with its key's run of ranks, while the
+    // generic evaluator probes the cached hash index once per tuple and
+    // compares resolved values per pair.
     let dc = DenialConstraint::parse("fd", "T(x, y), T(x, z), y != z").unwrap();
     for n in [200usize, 400, 800] {
         let mut db = Database::new();
@@ -104,7 +105,7 @@ fn bench_violations_hash_join(c: &mut Criterion) {
             db.insert("T", tuple![(i / 4) as i64, i as i64]).unwrap();
         }
         assert_eq!(dc.violations(&db), violations_generic(&dc, &db));
-        group.bench_with_input(BenchmarkId::new("hash_join", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("rank_lane", n), &n, |b, _| {
             b.iter(|| dc.violations(&db).len())
         });
         group.bench_with_input(BenchmarkId::new("generic", n), &n, |b, _| {
@@ -119,6 +120,6 @@ criterion_group!(
     bench_cqa,
     bench_hitting_sets,
     bench_responsibility,
-    bench_violations_hash_join
+    bench_violations_rank_lane
 );
 criterion_main!(benches);

@@ -294,7 +294,7 @@ impl ConflictComponents {
     ///
     /// `removed`/`added` must be the set difference between the old and new
     /// graph's (canonical, superset-filtered) edge sets — exactly what
-    /// [`ConflictHypergraph::apply_delta`] feeds in. The result is
+    /// [`ConflictHypergraph::apply_violation_delta`] feeds in. The result is
     /// byte-identical to `ConflictComponents::compute` on the new graph:
     ///
     /// * a [`ComponentGraph`] is a pure function of its edge *set* (the
@@ -650,7 +650,8 @@ mod tests {
             let raw = random_edges(&mut rng, n_tids, n_edges);
             let g = ConflictHypergraph::new(nodes.clone(), raw.clone());
             prop_assert_eq!(&g.edges, &minimal_edges(&raw));
-            // Fills the graph's cache, so `apply_delta` below maintains it.
+            // Fills the graph's cache, so `apply_violation_delta` below
+            // maintains it.
             let comps = g.components();
             prop_assert_eq!(&*comps, &compute_reference(&g));
             for c in &comps.components {
@@ -661,7 +662,7 @@ mod tests {
             // Drop some raw edges, add fresh ones, drop some conflict-free
             // nodes.
             let mut raw2: Vec<BTreeSet<Tid>> =
-                raw.into_iter().filter(|_| rng.gen_bool(0.7)).collect();
+                raw.iter().filter(|_| rng.gen_bool(0.7)).cloned().collect();
             let n_added = rng.gen_range(0..8);
             raw2.extend(random_edges(&mut rng, n_tids, n_added));
             let nodes2: BTreeSet<Tid> = nodes
@@ -677,7 +678,24 @@ mod tests {
             let added = new.difference(&old).cloned().collect();
             let expected = ConflictComponents::compute(&g2);
             prop_assert_eq!(&comps.apply_edge_delta(&nodes2, &removed, &added), &expected);
-            prop_assert_eq!(&*g.apply_delta(nodes2, raw2).components(), &expected);
+            // The graph maintained from the delta alone: `dirty` holds the
+            // tids of the raw sets that changed and the dropped nodes, and
+            // `added` the new raw sets that touch it.
+            let raw_old: BTreeSet<&BTreeSet<Tid>> = raw.iter().collect();
+            let raw_new: BTreeSet<&BTreeSet<Tid>> = raw2.iter().collect();
+            let dirty: BTreeSet<Tid> = raw_old
+                .symmetric_difference(&raw_new)
+                .flat_map(|e| e.iter().copied())
+                .chain(nodes.difference(&nodes2).copied())
+                .collect();
+            let added: BTreeSet<BTreeSet<Tid>> = raw_new
+                .into_iter()
+                .filter(|e| !e.is_disjoint(&dirty))
+                .cloned()
+                .collect();
+            let maintained = g.apply_violation_delta(nodes2, &dirty, &added);
+            prop_assert_eq!(&maintained, &g2);
+            prop_assert_eq!(&*maintained.components(), &expected);
         }
     }
 

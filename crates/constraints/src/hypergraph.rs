@@ -44,8 +44,8 @@ fn par_split_depth() -> usize {
 
 /// The canonical (size, then lexicographic) edge order: a total order that
 /// is a pure function of the edge set, shared by [`ConflictHypergraph::new`]
-/// and the delta-maintenance paths (which binary-search and merge stored
-/// edge lists under exactly this order).
+/// and [`ConflictHypergraph::apply_violation_delta`] (which binary-searches
+/// and merges stored edge lists under exactly this order).
 fn canonical_edge_order(a: &BTreeSet<Tid>, b: &BTreeSet<Tid>) -> std::cmp::Ordering {
     a.len().cmp(&b.len()).then_with(|| a.cmp(b))
 }
@@ -210,71 +210,12 @@ impl ConflictHypergraph {
         )
     }
 
-    /// Build the graph for a new `(nodes, violations)` pair while
-    /// incrementally maintaining the component factorization: diff the old
-    /// and new canonical edge sets and hand
-    /// [`ConflictComponents::apply_edge_delta`] the removed/added edges, so
-    /// only the touched components are rebuilt — never the whole
-    /// decomposition. If this graph's component cache was never filled
-    /// there is nothing to maintain and the new graph stays lazy.
-    ///
-    /// The result is byte-identical to `ConflictHypergraph::new` followed
-    /// by a fresh [`ConflictHypergraph::components`] call: the edge
-    /// canonicalization (size-then-lexicographic order, superset filter) is
-    /// a pure function of the violation *set*, and the component merge
-    /// preserves canonical component order.
-    pub fn apply_delta(
-        &self,
-        nodes: BTreeSet<Tid>,
-        violations: impl IntoIterator<Item = BTreeSet<Tid>>,
-    ) -> ConflictHypergraph {
-        let next = ConflictHypergraph::new(nodes, violations);
-        if let Some(old) = self.components.get() {
-            // Both edge lists are in canonical (size, lexicographic) order —
-            // a pure function of the edge set — so a single merge walk finds
-            // the symmetric difference without building index sets.
-            let mut removed: BTreeSet<BTreeSet<Tid>> = BTreeSet::new();
-            let mut added: BTreeSet<BTreeSet<Tid>> = BTreeSet::new();
-            let (mut i, mut j) = (0, 0);
-            while i < self.edges.len() || j < next.edges.len() {
-                match (self.edges.get(i), next.edges.get(j)) {
-                    (Some(o), Some(n)) => match canonical_edge_order(o, n) {
-                        std::cmp::Ordering::Equal => {
-                            i += 1;
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Less => {
-                            removed.insert(o.clone());
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            added.insert(n.clone());
-                            j += 1;
-                        }
-                    },
-                    (Some(o), None) => {
-                        removed.insert(o.clone());
-                        i += 1;
-                    }
-                    (None, Some(n)) => {
-                        added.insert(n.clone());
-                        j += 1;
-                    }
-                    (None, None) => break,
-                }
-            }
-            let maintained = old.apply_edge_delta(&next.nodes, &removed, &added);
-            // A freshly built graph has an empty cache: this always wins.
-            let _ = next.components.set(Arc::new(maintained));
-        }
-        next
-    }
-
     /// Build the graph for the post-mutation violation set from the delta
-    /// alone — never re-canonicalizing the full edge list the way
-    /// [`ConflictHypergraph::apply_delta`] does via a from-scratch rebuild.
-    /// `dirty` is the set of touched tids and `added` the violation sets
-    /// re-derived for them; the new violation set is understood to be
+    /// alone, never re-canonicalizing the full edge list, and maintain the
+    /// component factorization alongside when this graph's cache is filled
+    /// (an unfilled cache stays lazy). `dirty` is the set of touched tids
+    /// and `added` the violation sets re-derived for them; the new
+    /// violation set is understood to be
     /// "every old violation disjoint from `dirty`, plus `added`" — the
     /// monotone-denial maintenance identity. **Every set in `added` must
     /// intersect `dirty`** (a violation involving no touched tuple is not a
@@ -296,7 +237,10 @@ impl ConflictHypergraph {
     ///   accepted so far.
     ///
     /// Components are maintained through
-    /// [`ConflictComponents::apply_edge_delta`] exactly as in `apply_delta`.
+    /// [`ConflictComponents::apply_edge_delta`], which rebuilds only the
+    /// components a removed or added edge touches. The result is
+    /// byte-identical to [`ConflictHypergraph::new`] followed by a fresh
+    /// [`ConflictHypergraph::components`] call.
     pub fn apply_violation_delta(
         &self,
         nodes: BTreeSet<Tid>,
@@ -1224,11 +1168,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_maintains_components_identically() {
+    fn apply_violation_delta_maintains_components_identically() {
         // Drive a mixed add/remove sequence over raw violation sets
         // (including duplicates and supersets, which canonicalization must
         // absorb) and check the maintained graph + factorization stay
-        // byte-identical to recompute-from-scratch at every step.
+        // byte-identical to recompute-from-scratch at every step. Each
+        // delta is `dirty` = the changed set's tids, `added` = the raw sets
+        // touching them.
         let nodes: BTreeSet<Tid> = (1..=20).map(Tid).collect();
         let mut raw: BTreeSet<BTreeSet<Tid>> = [
             tids(&[1, 2]),
@@ -1251,12 +1197,18 @@ mod tests {
             (false, tids(&[3, 4, 5])),   // shrink more
         ];
         for (add, edge) in steps {
+            let dirty = edge.clone();
             if add {
                 raw.insert(edge);
             } else {
                 raw.remove(&edge);
             }
-            let maintained = graph.apply_delta(nodes.clone(), raw.iter().cloned());
+            let added: BTreeSet<BTreeSet<Tid>> = raw
+                .iter()
+                .filter(|e| !e.is_disjoint(&dirty))
+                .cloned()
+                .collect();
+            let maintained = graph.apply_violation_delta(nodes.clone(), &dirty, &added);
             let scratch = ConflictHypergraph::new(nodes.clone(), raw.iter().cloned());
             assert_eq!(maintained, scratch);
             // The maintained cache was pre-filled by the delta…
@@ -1265,9 +1217,9 @@ mod tests {
             assert_eq!(*maintained.components(), *scratch.components());
             graph = maintained;
         }
-        // Without a primed cache, apply_delta stays lazy.
+        // Without a primed cache, apply_violation_delta stays lazy.
         let lazy = ConflictHypergraph::new(nodes.clone(), raw.iter().cloned());
-        let next = lazy.apply_delta(nodes, raw.iter().cloned());
+        let next = lazy.apply_violation_delta(nodes, &BTreeSet::new(), &BTreeSet::new());
         assert!(next.components.get().is_none());
     }
 

@@ -13,10 +13,12 @@
 //!
 //! so the new violation set is exactly
 //! `{v ∈ old : v ∩ Δ = ∅} ∪ violations_delta(Δ)`, where
-//! [`cqa_constraints::ConstraintSet::denial_violations_delta`] joins only
-//! the touched tuples against the indexed base. The conflict hyper-graph
-//! and its component factorization are then maintained structurally:
-//! [`ConflictHypergraph::apply_delta`] diffs the canonical edge sets and
+//! [`cqa_constraints::ConstraintSet::denial_violations_delta`] pins each
+//! body atom in turn to the touched tuples and lets the evaluator join them
+//! against the indexed base. The conflict hyper-graph and its component
+//! factorization are then maintained structurally:
+//! [`ConflictHypergraph::apply_violation_delta`] drops the edges that touch
+//! `Δ`, merges in the new sets that no surviving edge dominates, and
 //! rebuilds **only the touched components** (union-find merge on edge add,
 //! bounded split-on-delete), carrying everything else over verbatim.
 //!

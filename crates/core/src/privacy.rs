@@ -30,15 +30,12 @@ impl SecrecyView {
         SecrecyView { view }
     }
 
-    /// The emptiness constraint: `¬∃x̄ body(view)`.
+    /// The emptiness constraint: `¬∃x̄ body(view)`. A view with negated
+    /// atoms is rejected, as [`DenialConstraint::new`] rejects any negated
+    /// body.
     fn emptiness_constraint(&self) -> Result<DenialConstraint, RelationError> {
         let mut body = self.view.clone();
         body.head.clear();
-        if !body.negated.is_empty() {
-            return Err(RelationError::Parse(
-                "secrecy views must be negation-free conjunctive queries".into(),
-            ));
-        }
         DenialConstraint::new("secrecy", body)
     }
 

@@ -10,7 +10,7 @@
 //!   order seen through ids; sorting by vids-resolved order can therefore
 //!   never diverge from the row-oriented engine's value sort.
 //! * **Columnar ≡ row reference** — denial-constraint violations (hitting
-//!   the sorted-range, hash-join, and generic evaluator paths) and CQA
+//!   the sorted-range, rank-lane and generic evaluator paths) and CQA
 //!   joins computed by the id-space engine equal a naive Value-level
 //!   nested-loop reference, and budgeted repair/CQA outcomes are
 //!   byte-identical at 1 and 4 threads under random step budgets.

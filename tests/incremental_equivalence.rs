@@ -65,8 +65,8 @@ fn initial() -> (Database, ConstraintSet) {
     for (k, v) in [(0, 1), (1, 2), (2, 3)] {
         db.insert("T", tuple![k, v]).unwrap();
     }
-    // A key (two-atom hash-join delta lane) plus a comparison denial
-    // (single-atom delta lane): both maintenance paths run every step.
+    // A key (a two-atom body) plus a comparison denial (a one-atom body):
+    // the pinned delta join runs on both shapes every step.
     let sigma = ConstraintSet::from_iter([
         Constraint::Key(KeyConstraint::new("T", ["K"])),
         Constraint::Denial(DenialConstraint::parse("big", "T(k, v), v > 10").unwrap()),

@@ -160,8 +160,8 @@ fn actual_causes_are_thread_count_invariant() {
 
 #[test]
 fn denial_violations_are_thread_count_invariant() {
-    // The hash-join fast path is sequential but shares the determinism
-    // contract with everything downstream of it.
+    // The rank lane is sequential but shares the determinism contract
+    // with everything downstream of it.
     let mut db = Database::new();
     db.create_relation(RelationSchema::new("T", ["K", "V"]))
         .unwrap();
