@@ -16,14 +16,21 @@
 //! hyper-graph and its components) on that loaded instance, the conflict
 //! state a `repaird` tenant creation builds, after checking that its
 //! violation sets equal the row engine's FD and range violations.
+//!
+//! `write_then_read` times one `Amount` update on a warm 2 000-order
+//! `CqaSession`, followed by its two `mutate_mix` reads: the write's index
+//! and statistics upkeep, its conflict-state delta and the reads that
+//! follow it. Before timing it checks that the session's answers after a
+//! write equal `answer_consistently` on a fresh load of the same rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cqa_bench::rowstore::{f18_rowdb, RowDb};
 use cqa_bench::{f18_columnar, f18_data};
 use cqa_constraints::DenialConstraint;
-use cqa_core::IncrementalState;
-use cqa_query::{parse_query, ConjunctiveQuery, NullSemantics};
+use cqa_core::{answer_consistently, CqaSession, IncrementalState};
+use cqa_exec::Budget;
+use cqa_query::{parse_query, parse_ucq, ConjunctiveQuery, NullSemantics, UnionQuery};
 use cqa_relation::{Database, Tid, Tuple, Value};
 use std::collections::BTreeSet;
 
@@ -119,5 +126,71 @@ fn bench_conflict_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_f18, bench_codec_load, bench_conflict_build);
+/// The two `mutate_mix` reads: joins of `Orders` with `Cities`, each
+/// filtered by a constant comparison on `Amount` that keeps about 3% of the
+/// orders.
+const MUTATE_MIX_READS: [&str; 2] = [
+    "Q(c, r) :- Orders(o, c, x, s, a), Cities(x, r), a < 300",
+    "Q(o, x) :- Orders(o, c, x, s, a), Cities(x, r), a > 9600",
+];
+
+fn bench_write_then_read(c: &mut Criterion) {
+    let (db, sigma) = f18_columnar(&f18_data(2_000, 18));
+    let queries: Vec<UnionQuery> = MUTATE_MIX_READS
+        .iter()
+        .map(|q| parse_ucq(q).unwrap())
+        .collect();
+    let mut session = CqaSession::new(db, sigma.clone()).unwrap();
+    // The written order alternates between an amount above the 9 900 cap
+    // (a new conflict) and its own, so the conflicts stay level.
+    let tid = session
+        .db()
+        .relation("Orders")
+        .unwrap()
+        .tids()
+        .nth(7)
+        .unwrap();
+    let own = session.db().get(tid).unwrap().1.at(4).clone();
+    let budget = Budget::unlimited();
+    let mut raised = false;
+    let mut write_then_read = |session: &mut CqaSession| {
+        raised = !raised;
+        let amount = if raised {
+            Value::Int(9_950)
+        } else {
+            own.clone()
+        };
+        session.update(tid, 4, amount, &budget).unwrap();
+        queries
+            .iter()
+            .map(|q| session.certain(q, &budget).unwrap().into_value().answers)
+            .collect::<Vec<BTreeSet<Tuple>>>()
+    };
+    // Equality gate, after a raising and a lowering write.
+    for _ in 0..2 {
+        let answers = write_then_read(&mut session);
+        let fresh = cqa_relation::load(&cqa_relation::save(session.db())).unwrap();
+        for (q, got) in queries.iter().zip(&answers) {
+            assert_eq!(
+                got,
+                &answer_consistently(&fresh, &sigma, q).unwrap().answers
+            );
+        }
+    }
+
+    let mut group = c.benchmark_group("write_then_read");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("f18", 2_000), |b| {
+        b.iter(|| write_then_read(&mut session))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_f18,
+    bench_codec_load,
+    bench_conflict_build,
+    bench_write_then_read
+);
 criterion_main!(benches);

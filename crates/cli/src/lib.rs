@@ -440,10 +440,7 @@ fn cmd_analyze(opts: &Opts, out: &mut String) -> Result<i32, String> {
                         let _ = writeln!(
                             out,
                             "  atom {}: {:<16} ~{} row(s) via {}",
-                            step.atom,
-                            step.relation,
-                            step.estimate,
-                            if step.indexed { "index probe" } else { "scan" },
+                            step.atom, step.relation, step.estimate, step.access,
                         );
                     }
                     let _ = writeln!(out, "  estimated witnesses: {}", plan.estimated_witnesses());

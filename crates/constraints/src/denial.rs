@@ -6,14 +6,12 @@
 //! the conflict hyper-graph of §4.1 (Figure 1).
 
 use cqa_query::{
-    eval::{match_atom_vids, AtomVids, VidBindings},
     parse_query, Atom, CmpOp, Comparison, ConjunctiveQuery, NullSemantics, Term, Var, VarTable,
 };
 use cqa_relation::fxhash::WordHashMap;
 use cqa_relation::{Facts, RelationError, Tid, Value, Vid, VidRow};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::Bound;
 
 /// A denial constraint. Internally a Boolean conjunctive query (the *body*);
 /// the constraint holds iff the body has no witness.
@@ -92,19 +90,16 @@ impl DenialConstraint {
     /// tids. Duplicate sets (e.g. the two symmetric matches of an FD pair)
     /// are collapsed.
     ///
-    /// Three lanes compute these sets, chosen by the body's shape. A single
-    /// atom whose only filter compares one column against a constant
-    /// range-probes the base's sorted index on that column. Two atoms of
-    /// distinct variables that share a join key, the shape every FD and key
-    /// compiles to, run a flat id-space join over ranked comparison
-    /// columns. Every other body runs the generic
-    /// evaluator, whose probes hit the base's cached hash indexes. Values
-    /// never leave the dictionary on the join path, and under SQL semantics
-    /// a null never joins and never satisfies a comparison.
+    /// Two lanes compute these sets, chosen by the body's shape. Two atoms
+    /// of distinct variables that share a join key, the shape every FD and
+    /// key compiles to, run a flat id-space join over ranked comparison
+    /// columns. Every other body runs the generic evaluator, whose access
+    /// paths probe the base's cached hash indexes and, for an atom bounded
+    /// by `var op const` comparisons (such as `Acct(i, b), b < 0`), range-
+    /// probe its sorted index. Values never leave the dictionary on the
+    /// join path, and under SQL semantics a null never joins and never
+    /// satisfies a comparison.
     pub fn violations<F: Facts + ?Sized>(&self, facts: &F) -> BTreeSet<BTreeSet<Tid>> {
-        if let Some(out) = self.violations_sorted_range(facts) {
-            return out;
-        }
         if let Some(out) = self.violations_rank_lane(facts) {
             return out;
         }
@@ -372,89 +367,6 @@ impl DenialConstraint {
                 .map(|(lo, hi)| BTreeSet::from([lo, hi]))
                 .collect(),
         )
-    }
-
-    /// The sorted-index fast path for single-atom range constraints like
-    /// `Acct(i, b), b < 0`: instead of scanning the relation, range-probe
-    /// the base's [`cqa_relation::SortedIndex`] on the compared column and
-    /// full-match only the rows inside the bound. `None` when the body
-    /// doesn't have that shape.
-    fn violations_sorted_range<F: Facts + ?Sized>(
-        &self,
-        facts: &F,
-    ) -> Option<BTreeSet<BTreeSet<Tid>>> {
-        let ([atom], [cmp]) = (self.body.atoms.as_slice(), self.body.comparisons.as_slice()) else {
-            return None;
-        };
-        // Orient as `var op const`; `!=` selects two disjoint ranges, so
-        // leave it to the generic path.
-        let (var, op, konst) = match (&cmp.left, &cmp.right) {
-            (Term::Var(v), Term::Const(k)) => (*v, cmp.op, k),
-            (Term::Const(k), Term::Var(v)) => (*v, cmp.op.flipped(), k),
-            _ => return None,
-        };
-        if op == CmpOp::Ne || konst.is_null() {
-            return None;
-        }
-        let col = *atom.positions_of(var).first()?;
-        let rel = facts.base().relation(&atom.relation)?;
-        let sorted = facts.base().sorted_index(&atom.relation, col)?;
-        let (lo, hi): (Bound<&Value>, Bound<&Value>) = match op {
-            CmpOp::Eq => (Bound::Included(konst), Bound::Included(konst)),
-            CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(konst)),
-            CmpOp::Le => (Bound::Unbounded, Bound::Included(konst)),
-            CmpOp::Gt => (Bound::Excluded(konst), Bound::Unbounded),
-            CmpOp::Ge => (Bound::Included(konst), Bound::Unbounded),
-            CmpOp::Ne => return None,
-        };
-
-        let mode = NullSemantics::Sql;
-        let av = AtomVids::resolve(facts, atom, mode);
-        let mut out = BTreeSet::new();
-        let store = rel.store();
-        let dict = facts.base().dict();
-        let mut bindings = VidBindings::new(self.body.vars.len());
-        let mut check = |tid: Tid, row: &VidRow<'_>, out: &mut BTreeSet<BTreeSet<Tid>>| {
-            if let Some(newly) = match_atom_vids(facts, atom, &av, row, &mut bindings, mode) {
-                // Re-check the comparison on the full binding: the range
-                // probe pre-filters, but repeated variables and overlay rows
-                // still need the real test (and nulls must fail it).
-                let ok = match (
-                    bindings.resolve_value(facts, &cmp.left),
-                    bindings.resolve_value(facts, &cmp.right),
-                ) {
-                    (Some(a), Some(b)) => mode.cmp(cmp.op, &a, &b),
-                    _ => false,
-                };
-                if ok {
-                    out.insert([tid].into());
-                }
-                for v in newly {
-                    bindings.unset(v);
-                }
-            }
-        };
-        // Base rows inside the range (value order; nulls sort below any
-        // constant bound but the SQL comparison re-check rejects them).
-        for &(vid, pos) in sorted.range(dict, lo, hi) {
-            if facts.vid_is_null(vid) {
-                continue;
-            }
-            let Some(tid) = store.tid_at(pos as usize) else {
-                continue;
-            };
-            if facts.is_deleted(tid) {
-                continue;
-            }
-            if let Some(row) = store.row(pos as usize) {
-                check(tid, &row, &mut out);
-            }
-        }
-        // Overlay rows: few; full-match them all.
-        for (tid, row) in facts.overlay_rows(&atom.relation) {
-            check(*tid, &VidRow::Slice(row), &mut out);
-        }
-        Some(out)
     }
 }
 
@@ -926,10 +838,10 @@ mod tests {
         "T(x, y, u), T(x, z, v)",
     ];
 
-    /// Bodies that leave the rank lane: a constant in an atom, a repeated
-    /// variable, three atoms, one atom compared against a constant (the
-    /// sorted-range probe, and `!=`, which the probe declines), and a cross
-    /// product. All but the range probe run the evaluator.
+    /// Bodies that leave the rank lane for the evaluator: a constant in an
+    /// atom, a repeated variable, three atoms, one atom compared against a
+    /// constant (a range probe from the index threshold on, and `!=`, which
+    /// the probe declines), and a cross product.
     const OTHER_BODIES: &[&str] = &[
         "T(x, y, 1), T(x, z, v), y != z",
         "T(x, x, u), T(x, z, v)",
@@ -1129,19 +1041,55 @@ mod tests {
         assert!(kappa.violations_delta(&view, &dels).is_empty());
     }
 
+    /// The single-column filter reference: the singleton violation sets of
+    /// the rows of `relation` whose column `col` is non-null and satisfies
+    /// `value op bound` in value order.
+    fn filter_reference(
+        db: &Database,
+        relation: &str,
+        col: usize,
+        op: CmpOp,
+        bound: &Value,
+    ) -> BTreeSet<BTreeSet<Tid>> {
+        db.facts_in(relation)
+            .filter(|(_, t)| {
+                t.get(col)
+                    .is_some_and(|v| !v.is_null() && op.eval(v, bound))
+            })
+            .map(|(tid, _)| BTreeSet::from([tid]))
+            .collect()
+    }
+
+    /// The access path the evaluator takes for a one-atom body.
+    fn first_access(db: &Database, dc: &DenialConstraint) -> cqa_query::Access {
+        cqa_query::plan::explain(db, dc.body()).steps[0]
+            .access
+            .clone()
+    }
+
     #[test]
     fn comparison_constraints() {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("Acct", ["Id", "Balance"]))
             .unwrap();
-        db.insert("Acct", tuple![1, 100]).unwrap();
-        db.insert("Acct", tuple![2, -5]).unwrap();
+        // Enough accounts to cross the evaluator's index threshold.
+        for i in 0..40i64 {
+            let balance = if i == 1 { -5 } else { 100 + i };
+            db.insert("Acct", tuple![i, balance]).unwrap();
+        }
         let positive = DenialConstraint::parse("pos", "Acct(i, b), b < 0").unwrap();
-        // The single-atom range shape takes the sorted-index fast path.
-        assert!(positive.violations_sorted_range(&db).is_some());
+        // The body's one atom range-probes the sorted index on Balance.
+        assert!(matches!(
+            first_access(&db, &positive),
+            cqa_query::Access::RangeProbe { col: 1, .. }
+        ));
         let viols = positive.violations(&db);
         assert_eq!(viols.len(), 1);
         assert!(viols.contains(&[Tid(2)].into()));
+        assert_eq!(
+            viols,
+            filter_reference(&db, "Acct", 1, CmpOp::Lt, &Value::Int(0))
+        );
     }
 
     #[test]
@@ -1151,37 +1099,49 @@ mod tests {
             .unwrap();
         for i in 0..60i64 {
             let v = if i % 11 == 0 {
-                cqa_relation::Value::NULL
+                Value::NULL
             } else {
-                cqa_relation::Value::Int(i % 7 - 3)
+                Value::Int(i % 7 - 3)
             };
-            db.insert(
-                "M",
-                cqa_relation::Tuple::new([cqa_relation::Value::Int(i), v]),
-            )
-            .unwrap();
+            db.insert("M", cqa_relation::Tuple::new([Value::Int(i), v]))
+                .unwrap();
         }
-        for body in [
-            "M(k, v), v < 0",
-            "M(k, v), v <= -1",
-            "M(k, v), v > 2",
-            "M(k, v), v >= 3",
-            "M(k, v), v = 1",
-            "M(k, v), 0 > v", // flipped orientation
+        for (body, op, k) in [
+            ("M(k, v), v < 0", CmpOp::Lt, 0),
+            ("M(k, v), v <= -1", CmpOp::Le, -1),
+            ("M(k, v), v > 2", CmpOp::Gt, 2),
+            ("M(k, v), v >= 3", CmpOp::Ge, 3),
+            ("M(k, v), v = 1", CmpOp::Eq, 1),
+            ("M(k, v), 0 > v", CmpOp::Lt, 0), // flipped orientation
         ] {
             let dc = DenialConstraint::parse("dc", body).unwrap();
-            let fast = dc.violations_sorted_range(&db).unwrap();
-            let mut generic = BTreeSet::new();
-            for_each_witness(&db, dc.body(), NullSemantics::Sql, &mut |w| {
-                generic.insert(w.tids.iter().copied().collect());
-                true
-            });
-            assert_eq!(fast, generic, "{body}");
+            assert!(
+                matches!(
+                    first_access(&db, &dc),
+                    cqa_query::Access::RangeProbe { col: 1, .. }
+                ),
+                "{body}"
+            );
+            assert_eq!(
+                dc.violations(&db),
+                filter_reference(&db, "M", 1, op, &Value::Int(k)),
+                "{body}"
+            );
         }
-        // `!=` and var-var comparisons decline the fast path.
+        // `!=` and var-var comparisons decline the range probe and scan.
         let ne = DenialConstraint::parse("ne", "M(k, v), v != 0").unwrap();
-        assert!(ne.violations_sorted_range(&db).is_none());
+        assert_eq!(first_access(&db, &ne), cqa_query::Access::Scan);
+        assert_eq!(
+            ne.violations(&db),
+            filter_reference(&db, "M", 1, CmpOp::Ne, &Value::Int(0))
+        );
         let vv = DenialConstraint::parse("vv", "M(k, v), k < v").unwrap();
-        assert!(vv.violations_sorted_range(&db).is_none());
+        assert_eq!(first_access(&db, &vv), cqa_query::Access::Scan);
+        let mut generic = BTreeSet::new();
+        for_each_witness(&db, vv.body(), NullSemantics::Sql, &mut |w| {
+            generic.insert(w.tids.iter().copied().collect());
+            true
+        });
+        assert_eq!(vv.violations(&db), generic);
     }
 }

@@ -1,12 +1,15 @@
 //! Evaluation of conjunctive queries (with safe negation and comparisons)
 //! and unions thereof, with optional witness (provenance) extraction.
 //!
-//! The evaluator is a bind-and-filter join with a greedy atom order
-//! (most-bound, smallest-relation first) that runs entirely in **id space**:
-//! atom constants are resolved to [`Vid`]s once per query, joins compare
-//! word-sized vids instead of values, and per-atom probes hit the base
-//! instance's shared *multi-column* hash indexes
-//! ([`cqa_relation::Database::hash_index`]) on every bound position at once.
+//! The evaluator is a bind-and-filter join in the cost-based atom order of
+//! [`crate::plan::explain`] that runs entirely in **id space**: atom
+//! constants are resolved to [`Vid`]s once per query, and joins compare
+//! word-sized vids instead of values. Each atom takes its candidates the way
+//! `plan::access` decides: a probe of the base instance's shared
+//! *multi-column* hash index ([`cqa_relation::Database::hash_index`]) on
+//! every bound position at once, a range of the base's sorted index
+//! ([`cqa_relation::Database::sorted_index`]) for an atom bounded only by
+//! `var op const` comparisons, or a scan.
 //! Values reappear only at the emission boundary — a [`Witness`] resolves its
 //! vid assignment back through the dictionary — so answers are byte-identical
 //! to the old value-space evaluator. This keeps the code honest and
@@ -21,8 +24,9 @@
 //! extension vids that can never alias base ids).
 
 use crate::ast::{Atom, Comparison, ConjunctiveQuery, Term, UnionQuery, Var};
+use crate::plan::Access;
 use cqa_relation::fxhash::WordHashMap;
-use cqa_relation::{sql_eq, Facts, HashIndex, Tid, Truth, Tuple, Value, Vid, VidRow};
+use cqa_relation::{sql_eq, Facts, HashIndex, Relation, Tid, Truth, Tuple, Value, Vid, VidRow};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -251,12 +255,17 @@ impl VidBindings {
 
 /// Resolve `vid` through `cache`, falling back to the view's dictionary and
 /// memoizing the hit. Sound because a vid's resolution never changes within
-/// an evaluation (the dictionary is append-only).
+/// an evaluation (the dictionary is append-only). Inline vids (small ints,
+/// bools, null labels) decode without the dictionary, so they skip the
+/// cache.
 fn resolve_vid_cached<F: Facts + ?Sized>(
     facts: &F,
     vid: Vid,
     cache: &mut WordHashMap<Vid, Value>,
 ) -> Option<Value> {
+    if let Some(v) = vid.inline_value() {
+        return Some(v);
+    }
     if let Some(v) = cache.get(&vid) {
         return Some(v.clone());
     }
@@ -516,9 +525,11 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
 /// variables already bound. This is the delta join of incremental
 /// violation maintenance: pin each atom in turn to the touched rows.
 ///
-/// The other atoms follow in declared order. The order is never planned:
-/// planning reads column statistics, and every write drops them.
-/// An out-of-range `pin` yields nothing.
+/// The other atoms follow in declared order, each reached as
+/// `plan::access` decides. The order itself is not planned: the
+/// planner is not pin-aware (it ranks atoms as if nothing were bound), and
+/// no workload yet has a delta body of three or more atoms to measure a
+/// pin-aware plan against. An out-of-range `pin` yields nothing.
 pub fn for_each_witness_vids_pinned<F: Facts + ?Sized>(
     facts: &F,
     cq: &ConjunctiveQuery,
@@ -565,33 +576,21 @@ fn evaluate<F: Facts + ?Sized>(
         .map(|a| resolve_atom_consts(facts, a, mode))
         .collect();
 
-    // Probe planning: for each atom (in join order), collect *every*
-    // position whose vid will be known when the atom is reached — constants
-    // and variables bound by earlier atoms. Relations at or above the
-    // threshold probe the base's cached multi-column hash index on those
-    // positions, turning the scan into a bucket lookup (deleted tids
-    // filtered, insert overlay unioned). Under SQL semantics null probe keys
-    // bail out before the lookup, so nulls never join.
-    use crate::plan::INDEX_THRESHOLD;
-    let mut probe_cols: Vec<Vec<usize>> = vec![Vec::new(); cq.atoms.len()];
+    // Access planning: for each atom (in join order), the access path
+    // `plan::access` picks once the earlier atoms' variables are bound. A
+    // hash probe keys on *every* bound position; deleted tids are filtered
+    // and the insert overlay unioned. Under SQL semantics null probe keys
+    // bail out before the lookup, so nulls never join, and a range probe
+    // skips null cells.
+    let mut accesses: Vec<Access> = vec![Access::Scan; cq.atoms.len()];
     {
         let mut bound: BTreeSet<Var> = BTreeSet::new();
         for &idx in order {
             let Some(atom) = cq.atoms.get(idx) else {
                 continue;
             };
-            if facts.relation_len(&atom.relation) >= INDEX_THRESHOLD {
-                if let Some(slot) = probe_cols.get_mut(idx) {
-                    *slot = atom
-                        .terms
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(pos, t)| match t {
-                            Term::Const(_) => Some(pos),
-                            Term::Var(v) => bound.contains(v).then_some(pos),
-                        })
-                        .collect();
-                }
+            if let Some(slot) = accesses.get_mut(idx) {
+                *slot = crate::plan::access(facts, cq, idx, &bound);
             }
             bound.extend(atom.vars());
         }
@@ -601,15 +600,21 @@ fn evaluate<F: Facts + ?Sized>(
         facts: &'a F,
         cq: &'a ConjunctiveQuery,
         order: &'b [usize],
-        probe_cols: &'b [Vec<usize>],
+        accesses: &'b [Access],
         atom_vids: &'b [AtomVids],
         neg_vids: &'b [AtomVids],
         /// The first atom's candidate rows, for a pinned evaluation.
         pinned: Option<&'b [(Tid, VidRow<'b>)]>,
         mode: NullSemantics,
-        /// Shared base indexes, one per indexed atom, cloned out of the
+        /// Each atom's base relation, if the base has it.
+        relations: Vec<Option<&'a Relation>>,
+        /// Shared base indexes, one per hash-probed atom, cloned out of the
         /// base's cache on first use so recursion re-probes lock-free.
         indexes: Vec<Option<Arc<HashIndex>>>,
+        /// The base positions of each range-probed atom's candidates, in
+        /// tid order, gathered on first use (they do not depend on the
+        /// bindings).
+        ranges: Vec<Option<Arc<[u32]>>>,
         /// Per-evaluation vid → value memo (point reads only): comparisons
         /// and witness emission resolve each distinct vid once per query
         /// instead of once per candidate row.
@@ -657,7 +662,7 @@ fn evaluate<F: Facts + ?Sized>(
             let atom_idx = self.order[depth];
             let atom: &'a Atom = &self.cq.atoms[atom_idx];
             let av: &'b AtomVids = &self.atom_vids[atom_idx];
-            let cols: &'b [usize] = &self.probe_cols[atom_idx];
+            let access: &'b Access = &self.accesses[atom_idx];
             let step = |tid: Tid,
                         row: &VidRow<'_>,
                         this: &mut Self,
@@ -689,8 +694,8 @@ fn evaluate<F: Facts + ?Sized>(
                 }
             };
 
-            // Candidate rows: the pinned rows, else the probe bucket if
-            // indexed, else a scan.
+            // Candidate rows: the pinned rows, else those of the atom's
+            // access path.
             if depth == 0 {
                 if let Some(rows) = self.pinned {
                     for (tid, row) in rows {
@@ -701,73 +706,94 @@ fn evaluate<F: Facts + ?Sized>(
                     return true;
                 }
             }
-            let bucket: Option<Vec<(Tid, VidRow<'a>)>> = if cols.is_empty() {
-                None
-            } else {
-                let key: Option<Vec<Vid>> = cols
-                    .iter()
-                    .map(|&pos| match &atom.terms[pos] {
-                        Term::Const(_) => av.consts.get(pos).copied().flatten(),
-                        Term::Var(v) => bindings.get(*v),
-                    })
-                    .collect();
-                match key {
-                    Some(key) => {
+            // The visible rows at some base positions of `rel`, then the
+            // view's insert overlay. Overlay rows are few: the full match
+            // in `step` filters them instead of pre-probing.
+            let visit = |rel: &'a Relation,
+                         positions: &[u32],
+                         this: &mut Self,
+                         bindings: &mut VidBindings,
+                         tids: &mut Vec<Tid>,
+                         sink: &mut dyn FnMut(&VidBindings, &[Tid]) -> bool|
+             -> bool {
+                let store = rel.store();
+                for &pos in positions {
+                    let pos = pos as usize;
+                    let (Some(tid), Some(row)) = (store.tid_at(pos), store.row(pos)) else {
+                        continue;
+                    };
+                    if !facts.is_deleted(tid) && !step(tid, &row, this, bindings, tids, sink) {
+                        return false;
+                    }
+                }
+                for (tid, row) in facts.overlay_rows(&atom.relation) {
+                    if !step(*tid, &VidRow::Slice(row), this, bindings, tids, sink) {
+                        return false;
+                    }
+                }
+                true
+            };
+            // A relation the base lacks is scanned (its overlay rows).
+            let rel = self.relations.get(atom_idx).copied().flatten();
+            match (access, rel) {
+                (Access::HashProbe(cols), Some(rel)) => {
+                    let key: Option<Vec<Vid>> = cols
+                        .iter()
+                        .map(|&pos| match atom.terms.get(pos) {
+                            Some(Term::Const(_)) => av.consts.get(pos).copied().flatten(),
+                            Some(Term::Var(v)) => bindings.get(*v),
+                            None => None,
+                        })
+                        .collect();
+                    // A probe variable unbound at runtime falls back to a
+                    // scan.
+                    if let Some(key) = key {
                         if self.mode == NullSemantics::Sql
                             && key.iter().any(|&k| facts.vid_is_null(k))
                         {
                             return true; // null never joins: no matches
                         }
-                        if self.indexes[atom_idx].is_none() {
-                            self.indexes[atom_idx] = facts.base().hash_index(&atom.relation, cols);
-                        }
-                        match self.indexes[atom_idx]
-                            .clone()
-                            .zip(facts.base().relation(&atom.relation))
-                        {
-                            Some((index, rel)) => {
-                                let store = rel.store();
-                                let mut pairs: Vec<(Tid, VidRow<'a>)> = Vec::new();
-                                for &pos in index.rows_for(&key) {
-                                    let pos = pos as usize;
-                                    let Some(tid) = store.tid_at(pos) else {
-                                        continue;
-                                    };
-                                    if facts.is_deleted(tid) {
-                                        continue;
-                                    }
-                                    if let Some(row) = store.row(pos) {
-                                        pairs.push((tid, row));
-                                    }
-                                }
-                                // Overlay rows are few: let the full match in
-                                // `step` filter them instead of pre-probing.
-                                for (tid, row) in facts.overlay_rows(&atom.relation) {
-                                    pairs.push((*tid, VidRow::Slice(row)));
-                                }
-                                Some(pairs)
+                        let index = self
+                            .indexes
+                            .get(atom_idx)
+                            .cloned()
+                            .flatten()
+                            .or_else(|| facts.base().hash_index(&atom.relation, cols));
+                        if let Some(index) = index {
+                            if let Some(cached) = self.indexes.get_mut(atom_idx) {
+                                *cached = Some(Arc::clone(&index));
                             }
-                            None => None, // base lacks the relation: scan
-                        }
-                    }
-                    None => None, // probe var unbound at runtime: scan
-                }
-            };
-
-            match bucket {
-                Some(pairs) => {
-                    for (tid, row) in pairs {
-                        if !step(tid, &row, self, bindings, tids, sink) {
-                            return false;
+                            return visit(rel, index.rows_for(&key), self, bindings, tids, sink);
                         }
                     }
                 }
-                None => {
-                    for (tid, row) in facts.vid_rows(&atom.relation) {
-                        if !step(tid, &row, self, bindings, tids, sink) {
-                            return false;
+                (Access::RangeProbe { col, lo, hi }, Some(rel)) => {
+                    let positions = self.ranges.get(atom_idx).cloned().flatten().or_else(|| {
+                        let skip_nulls = self.mode == NullSemantics::Sql;
+                        let mut positions = crate::plan::range_positions(
+                            facts,
+                            &atom.relation,
+                            *col,
+                            (lo, hi),
+                            skip_nulls,
+                        )?;
+                        // Value order to tid order: the rows come out as a
+                        // scan's would.
+                        positions.sort_unstable();
+                        Some(positions.into())
+                    });
+                    if let Some(positions) = positions {
+                        if let Some(cached) = self.ranges.get_mut(atom_idx) {
+                            *cached = Some(Arc::clone(&positions));
                         }
+                        return visit(rel, &positions, self, bindings, tids, sink);
                     }
+                }
+                _ => {}
+            }
+            for (tid, row) in facts.vid_rows(&atom.relation) {
+                if !step(tid, &row, self, bindings, tids, sink) {
+                    return false;
                 }
             }
             true
@@ -778,12 +804,18 @@ fn evaluate<F: Facts + ?Sized>(
         facts,
         cq,
         order,
-        probe_cols: &probe_cols,
+        accesses: &accesses,
         atom_vids: &atom_vids,
         neg_vids: &neg_vids,
         pinned,
         mode,
+        relations: cq
+            .atoms
+            .iter()
+            .map(|a| facts.base().relation(&a.relation))
+            .collect(),
         indexes: vec![None; cq.atoms.len()],
+        ranges: vec![None; cq.atoms.len()],
         resolve_cache: WordHashMap::default(),
     };
     let mut bindings = VidBindings::new(cq.vars.len());
@@ -1145,6 +1177,44 @@ mod index_tests {
             .map(|i| tuple![i])
             .collect();
         assert_eq!(ans, expected);
+    }
+
+    #[test]
+    fn range_probe_matches_a_value_filter_under_both_semantics() {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("N", ["K", "V"]))
+            .unwrap();
+        for i in 0..60i64 {
+            let v = match i % 5 {
+                0 => Value::NULL,
+                1 => Value::str("s"),
+                _ => Value::Int(i % 13),
+            };
+            db.insert("N", Tuple::new([Value::Int(i), v])).unwrap();
+        }
+        for (text, op, k) in [
+            ("Q(k) :- N(k, v), v < 4", crate::ast::CmpOp::Lt, 4),
+            ("Q(k) :- N(k, v), 9 <= v", crate::ast::CmpOp::Ge, 9),
+            ("Q(k) :- N(k, v), v = 7", crate::ast::CmpOp::Eq, 7),
+        ] {
+            let q = parse_query(text).unwrap();
+            assert!(matches!(
+                crate::plan::explain(&db, &q).steps[0].access,
+                Access::RangeProbe { col: 1, .. }
+            ));
+            for mode in [NullSemantics::Sql, NullSemantics::Structural] {
+                // Structurally a null sorts below every value, so `v < 4`
+                // holds for it; under SQL no comparison with a null does.
+                let expect: BTreeSet<Tuple> = db
+                    .relation("N")
+                    .unwrap()
+                    .tuples()
+                    .filter(|t| mode.cmp(op, t.at(1), &Value::Int(k)))
+                    .map(|t| Tuple::new([t.at(0).clone()]))
+                    .collect();
+                assert_eq!(eval_cq(&db, &q, mode), expect, "{text} {mode:?}");
+            }
+        }
     }
 
     #[test]

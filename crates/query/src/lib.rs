@@ -48,7 +48,7 @@ pub use fo::{eval_fo, holds_fo};
 pub use magic::{magic_rewrite, MagicProgram};
 pub use parser::{parse_fo, parse_program, parse_query, parse_ucq};
 pub use plan::{
-    cached_certain_answers, join_order, plan_cache_stats, reset_plan_cache, ucq_signature,
+    cached_certain_answers, join_order, plan_cache_stats, reset_plan_cache, ucq_signature, Access,
     PlanCacheStats, PlanExplain, PlanStep,
 };
 pub use sql::fo_to_sql;

@@ -6,8 +6,10 @@
 //! the value itself lives (once) in the shared [`crate::ValueDict`].
 //!
 //! Rows are addressed by *position*; positions are dense and shift on
-//! deletion, so anything that must survive mutation (indexes, row caches)
-//! is rebuilt rather than patched. Tids are the stable names.
+//! deletion. The index cache patches its postings on every write (a delete
+//! moves the postings behind the removed row down by one, see
+//! [`crate::index`]); the lazy value-level row cache is rebuilt instead.
+//! Tids are the stable names.
 
 use crate::dict::Vid;
 use crate::fxhash::{FxHashMap, WordHasher};

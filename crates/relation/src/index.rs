@@ -11,18 +11,51 @@
 //!   order** (via [`ValueDict::cmp_vids`]'s resolve path, never raw id
 //!   order), serving range and order probes.
 //!
-//! Indexes describe the base store at build time; the [`crate::Database`]
-//! cache that owns them is invalidated on mutation. Views layered on top
-//! filter deleted tids and union their insert overlay at probe time.
+//! Indexes describe the base store. The [`crate::Database`] cache that owns
+//! them patches each one through a `RowEdit` on every insert, delete and
+//! one-cell update, so a maintained index always equals the one a fresh
+//! build over the new store would give: hash buckets stay ascending, and
+//! sorted entries stay in (value, position) order. A delete shifts the
+//! postings behind the removed row down by one in a single linear pass; no
+//! write rehashes or re-sorts. Views layered on top filter deleted tids and
+//! union their insert overlay at probe time.
 
 use crate::column::ColumnStore;
 use crate::dict::{ValueDict, Vid};
 use crate::fxhash::WordHashMap;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Bound;
 
+/// One write to a relation's store, as the indexes and statistics that
+/// describe the store see it. `row` is always the content of the row the
+/// write concerns: the appended row, the removed row, or the updated row
+/// after the update.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowEdit<'a> {
+    /// `row` was appended at position `pos`, after every other row.
+    Push { pos: u32, row: &'a [Vid] },
+    /// The row at `pos` was removed; every later row moved down by one.
+    Remove { pos: u32, row: &'a [Vid] },
+    /// Cell `col` of the row at `pos` changed from `old` to `row[col]`.
+    Set {
+        pos: u32,
+        col: usize,
+        old: Vid,
+        row: &'a [Vid],
+    },
+}
+
+/// Move every posting above `pos` down by one (a row before it left).
+fn shift_postings(rows: &mut [u32], pos: u32) {
+    let from = rows.partition_point(|&p| p <= pos);
+    for p in rows.iter_mut().skip(from) {
+        *p -= 1;
+    }
+}
+
 /// A multi-column hash index: projected vid key → row positions (ascending).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HashIndex {
     cols: Box<[usize]>,
     /// Single-column indexes key on the vid directly (no per-probe
@@ -30,7 +63,7 @@ pub struct HashIndex {
     keyed: Keyed,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 enum Keyed {
     One(WordHashMap<Vid, Vec<u32>>),
     Many(WordHashMap<Box<[Vid]>, Vec<u32>>),
@@ -97,6 +130,85 @@ impl HashIndex {
         }
     }
 
+    /// Patch the index for one write to its store.
+    pub(crate) fn apply(&mut self, edit: &RowEdit<'_>) {
+        match *edit {
+            RowEdit::Push { pos, row } => {
+                if let Some(key) = self.key_of(row) {
+                    self.post(&key, pos);
+                }
+            }
+            RowEdit::Remove { pos, row } => {
+                if let Some(key) = self.key_of(row) {
+                    self.unpost(&key, pos);
+                }
+                match &mut self.keyed {
+                    Keyed::One(m) => m.values_mut().for_each(|rows| shift_postings(rows, pos)),
+                    Keyed::Many(m) => m.values_mut().for_each(|rows| shift_postings(rows, pos)),
+                }
+            }
+            RowEdit::Set { pos, col, old, row } => {
+                if !self.cols.contains(&col) {
+                    return;
+                }
+                let Some(new_key) = self.key_of(row) else {
+                    return;
+                };
+                let old_key: Vec<Vid> = self
+                    .cols
+                    .iter()
+                    .zip(&new_key)
+                    .map(|(&c, &vid)| if c == col { old } else { vid })
+                    .collect();
+                self.unpost(&old_key, pos);
+                self.post(&new_key, pos);
+            }
+        }
+    }
+
+    /// A row's projection onto the key columns.
+    fn key_of(&self, row: &[Vid]) -> Option<Vec<Vid>> {
+        self.cols.iter().map(|&c| row.get(c).copied()).collect()
+    }
+
+    /// Add `pos` to `key`'s posting list, keeping it ascending.
+    fn post(&mut self, key: &[Vid], pos: u32) {
+        let rows = match (&mut self.keyed, key) {
+            (Keyed::One(m), [vid]) => m.entry(*vid).or_default(),
+            (Keyed::Many(m), _) => m.entry(key.into()).or_default(),
+            _ => return,
+        };
+        if let Err(at) = rows.binary_search(&pos) {
+            rows.insert(at, pos);
+        }
+    }
+
+    /// Remove `pos` from `key`'s posting list, dropping the key when its
+    /// list empties (a fresh build has no empty buckets).
+    fn unpost(&mut self, key: &[Vid], pos: u32) {
+        let unposted = |rows: &mut Vec<u32>| {
+            if let Ok(at) = rows.binary_search(&pos) {
+                rows.remove(at);
+            }
+            rows.is_empty()
+        };
+        match (&mut self.keyed, key) {
+            (Keyed::One(m), [vid]) => {
+                let emptied = m.get_mut(vid).is_some_and(unposted);
+                if emptied {
+                    m.remove(vid);
+                }
+            }
+            (Keyed::Many(m), _) => {
+                let emptied = m.get_mut(key).is_some_and(unposted);
+                if emptied {
+                    m.remove(key);
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// Estimated retained heap bytes (buckets + keys).
     pub fn heap_bytes(&self) -> usize {
         let bucket = |rows: &Vec<u32>| rows.capacity() * 4;
@@ -114,7 +226,7 @@ impl HashIndex {
 
 /// A single-column index sorted by **resolved value order** (ties broken by
 /// row position, i.e. tid order — deterministic at any thread count).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedIndex {
     col: usize,
     /// `(vid, row position)` sorted by `(value order of vid, position)`.
@@ -170,6 +282,56 @@ impl SortedIndex {
             Bound::Excluded(v) => self.entries.partition_point(|&(vid, _)| resolve(vid) < *v),
         };
         self.entries.get(start..end.max(start)).unwrap_or(&[])
+    }
+
+    /// Patch the index for one write to its store.
+    pub(crate) fn apply(&mut self, edit: &RowEdit<'_>, dict: &ValueDict) {
+        match *edit {
+            RowEdit::Push { pos, row } => {
+                if let Some(&vid) = row.get(self.col) {
+                    self.insert(dict, vid, pos);
+                }
+            }
+            RowEdit::Remove { pos, .. } => {
+                self.entries.retain_mut(|(_, p)| {
+                    if *p == pos {
+                        return false;
+                    }
+                    if *p > pos {
+                        *p -= 1;
+                    }
+                    true
+                });
+            }
+            RowEdit::Set { pos, col, old, row } => {
+                if col != self.col {
+                    return;
+                }
+                let Some(&new) = row.get(col) else {
+                    return;
+                };
+                if let Some(at) = self.find(dict, old, pos) {
+                    self.entries.remove(at);
+                }
+                self.insert(dict, new, pos);
+            }
+        }
+    }
+
+    /// Where `(vid, pos)` sits in `(value, position)` order.
+    fn slot(&self, dict: &ValueDict, vid: Vid, pos: u32) -> usize {
+        self.entries
+            .partition_point(|&(e, p)| dict.cmp_vids(e, vid).then(p.cmp(&pos)) == Ordering::Less)
+    }
+
+    fn find(&self, dict: &ValueDict, vid: Vid, pos: u32) -> Option<usize> {
+        let at = self.slot(dict, vid, pos);
+        (self.entries.get(at) == Some(&(vid, pos))).then_some(at)
+    }
+
+    fn insert(&mut self, dict: &ValueDict, vid: Vid, pos: u32) {
+        let at = self.slot(dict, vid, pos);
+        self.entries.insert(at, (vid, pos));
     }
 
     /// Estimated retained heap bytes.

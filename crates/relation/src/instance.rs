@@ -18,7 +18,7 @@ use crate::column::{ColumnStore, ContentMap, VidRow};
 use crate::dict::{ValueDict, Vid};
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
-use crate::index::{HashIndex, SortedIndex};
+use crate::index::{HashIndex, RowEdit, SortedIndex};
 use crate::schema::{AttrType, Attribute, DatabaseSchema, RelationSchema};
 use crate::stats::ColumnStats;
 use crate::tuple::{Tid, Tuple};
@@ -27,7 +27,7 @@ use crate::Result;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Process-wide mint for relation content stamps. Monotone and never
 /// reused, so two relations (or two states of one relation) can share a
@@ -258,14 +258,13 @@ impl Relation {
         self.store.push(tid, key);
     }
 
-    fn remove(&mut self, tid: Tid) -> Option<Tuple> {
+    /// Remove the row of `tid`, returning its former position and content.
+    fn remove(&mut self, tid: Tid) -> Option<(u32, Box<[Vid]>)> {
+        let pos = self.store.position_of(tid)?;
         let key = self.store.remove(tid)?;
         self.by_content.remove(&key, tid);
         self.invalidate_rows();
-        Some(Tuple::new(
-            key.iter()
-                .map(|&vid| self.dict.resolve(vid).unwrap_or(Value::NULL)),
-        ))
+        Some((pos as u32, key))
     }
 
     /// Estimated retained heap bytes of this relation's storage (columns,
@@ -308,8 +307,10 @@ fn type_mismatch(
 ///
 /// Buckets hold row positions in tid order, so they are deterministic
 /// regardless of which thread builds them first — a benign build race under
-/// the `cqa-exec` pool cannot perturb results. The cache is cleared on every
-/// mutation and reset on clone.
+/// the `cqa-exec` pool cannot perturb results. Every insert, delete and
+/// one-cell update patches the touched relation's entries in place
+/// ([`IndexCache::apply`]), so each stays equal to a fresh build; a bulk
+/// append drops them once instead, and a clone starts empty.
 #[derive(Debug, Default)]
 struct IndexCache {
     hash: RwLock<HashIndexMap>,
@@ -322,9 +323,35 @@ struct IndexCache {
 type HashIndexMap = FxHashMap<(usize, Box<[usize]>), Arc<HashIndex>>;
 
 impl IndexCache {
-    /// Drop only the indexes built over relation `rel_idx`; indexes of
-    /// untouched relations survive the mutation (their columns are
-    /// unchanged, so the cached positions stay valid).
+    /// Patch every index and the statistics built over relation `rel_idx`
+    /// for one write to its store. An entry some caller still holds is
+    /// copied first ([`Arc::make_mut`]), so the holder keeps the snapshot
+    /// it read.
+    fn apply(&mut self, rel_idx: usize, edit: RowEdit<'_>, dict: &ValueDict) {
+        let hash = self.hash.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for ((idx, _), index) in hash.iter_mut() {
+            if *idx == rel_idx {
+                Arc::make_mut(index).apply(&edit);
+            }
+        }
+        let sorted = self
+            .sorted
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for ((idx, _), index) in sorted.iter_mut() {
+            if *idx == rel_idx {
+                Arc::make_mut(index).apply(&edit, dict);
+            }
+        }
+        let stats = self.stats.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stats) = stats.get_mut(&rel_idx) {
+            Arc::make_mut(stats).apply(&edit);
+        }
+    }
+
+    /// Drop only the indexes built over relation `rel_idx` (a bulk append
+    /// is cheaper to rebuild after than to patch row by row); indexes of
+    /// untouched relations survive.
     fn invalidate_relation(&self, rel_idx: usize) {
         self.hash
             .write()
@@ -357,8 +384,8 @@ pub struct Database {
     next_null: u32,
     /// The shared value dictionary (append-only, `Arc`-shared with clones).
     dict: Arc<ValueDict>,
-    /// Shared index cache; reset on clone, invalidated per relation on
-    /// mutation.
+    /// Shared index cache; reset on clone, patched per relation on every
+    /// write.
     cache: IndexCache,
     /// Monotone mutation counter: bumped once per completed tuple-level
     /// mutation (no-ops — duplicate inserts, identity updates — don't
@@ -461,11 +488,10 @@ impl Database {
             .ok_or_else(|| RelationError::UnknownRelation(name.to_string()))
     }
 
-    /// Record one completed tuple-level mutation: bump the epoch, append to
-    /// the change log, and scope index invalidation to the touched relation.
+    /// Record one completed tuple-level mutation: bump the epoch and append
+    /// to the change log. The write itself patched the index cache.
     fn log_change(&mut self, change: Change) {
         self.epoch += 1;
-        self.cache.invalidate_relation(change.relation());
         self.changes.push(change);
     }
 
@@ -504,6 +530,9 @@ impl Database {
         }
         rel.push_encoded(next, &key);
         rel.invalidate_rows();
+        let pos = rel.store.len().saturating_sub(1) as u32;
+        self.cache
+            .apply(idx, RowEdit::Push { pos, row: &key }, &rel.dict);
         self.next_tid += 1;
         self.log_change(Change::Insert {
             relation: idx,
@@ -555,12 +584,19 @@ impl Database {
 
     /// Delete a tuple by tid; returns the removed `(relation name, tuple)`.
     pub fn delete(&mut self, tid: Tid) -> Result<(String, Tuple)> {
-        for idx in 0..self.relations.len() {
-            if let Some(tuple) = self.relations[idx].remove(tid) {
-                let name = self.relations[idx].name().to_string();
-                self.log_change(Change::Delete { relation: idx, tid });
-                return Ok((name, tuple));
-            }
+        for (idx, rel) in self.relations.iter_mut().enumerate() {
+            let Some((pos, key)) = rel.remove(tid) else {
+                continue;
+            };
+            self.cache
+                .apply(idx, RowEdit::Remove { pos, row: &key }, &rel.dict);
+            let tuple = Tuple::new(
+                key.iter()
+                    .map(|&vid| rel.dict.resolve(vid).unwrap_or(Value::NULL)),
+            );
+            let name = rel.name().to_string();
+            self.log_change(Change::Delete { relation: idx, tid });
+            return Ok((name, tuple));
         }
         Err(RelationError::UnknownTid(tid.0))
     }
@@ -610,7 +646,17 @@ impl Database {
             let mut removed_dup = None;
             if let Some(dup) = rel.tid_of_vids(&new_key) {
                 if dup != tid {
-                    rel.store.remove(dup);
+                    if let Some(dup_pos) = rel.store.position_of(dup) {
+                        rel.store.remove(dup);
+                        self.cache.apply(
+                            idx,
+                            RowEdit::Remove {
+                                pos: dup_pos as u32,
+                                row: &new_key,
+                            },
+                            &rel.dict,
+                        );
+                    }
                     rel.by_content.remove(&new_key, dup);
                     removed_dup = Some(dup);
                 }
@@ -618,6 +664,14 @@ impl Database {
             // Positions may have shifted if the duplicate sat before us.
             if let Some(pos) = rel.store.position_of(tid) {
                 rel.store.set_vid(pos, position, new_vid);
+                let old = old_key.get(position).copied().unwrap_or(new_vid);
+                let edit = RowEdit::Set {
+                    pos: pos as u32,
+                    col: position,
+                    old,
+                    row: &new_key,
+                };
+                self.cache.apply(idx, edit, &rel.dict);
             }
             rel.by_content.insert(&new_key, tid);
             rel.invalidate_rows();
@@ -650,8 +704,10 @@ impl Database {
     /// The cached multi-column hash index for `(relation, key columns)`:
     /// projected vid key → row positions in the relation's store, tid order.
     ///
-    /// Built on first use and shared (via [`Arc`]) with every caller until
-    /// the next mutation invalidates the cache. Returns `None` for unknown
+    /// Built on first use, shared (via [`Arc`]) with every caller, and
+    /// patched by every later insert, delete and one-cell update of the
+    /// relation, so it always equals a fresh build over the current rows (a
+    /// caller holding the old `Arc` keeps its snapshot). Returns `None` for unknown
     /// relations, empty column lists, or out-of-range columns. The index is
     /// *semantics-agnostic*: null keys are indexed too, and it is the probing
     /// side's job to skip null probes under SQL semantics.
@@ -671,10 +727,10 @@ impl Database {
         ))
     }
 
-    /// The cached planner statistics for `relation`: row count and
-    /// per-column distinct-vid estimates from a deterministic stride sample
-    /// (see [`ColumnStats`]). Built on first use, shared via [`Arc`], and
-    /// invalidated per relation on mutation like [`Database::hash_index`].
+    /// The cached planner statistics for `relation`: row count and exact
+    /// per-column distinct-vid counts (see [`ColumnStats`]). Built on first
+    /// use, shared via [`Arc`], and kept current across writes like
+    /// [`Database::hash_index`].
     pub fn column_stats(&self, relation: &str) -> Option<Arc<ColumnStats>> {
         let &rel_idx = self.index.get(relation)?;
         let rel = self.relations.get(rel_idx)?;
@@ -690,7 +746,8 @@ impl Database {
     }
 
     /// The cached sorted (value-order) index for `(relation, column)`, for
-    /// range and order probes. Caching mirrors [`Database::hash_index`].
+    /// range and order probes. Caching and maintenance across writes mirror
+    /// [`Database::hash_index`].
     pub fn sorted_index(&self, relation: &str, column: usize) -> Option<Arc<SortedIndex>> {
         let &rel_idx = self.index.get(relation)?;
         let rel = self.relations.get(rel_idx)?;
@@ -1150,10 +1207,13 @@ mod tests {
         assert!(db.hash_index("Supply", &[9]).is_none());
         assert!(db.hash_index("Supply", &[]).is_none());
         assert!(db.hash_index("Nope", &[0]).is_none());
-        // A mutation invalidates: the rebuilt index sees the new tuple.
+        // A write patches the cached index; `ix` is still held, so the
+        // cache patches a copy and `ix` keeps the snapshot it read.
         db.insert("Supply", tuple!["C2", "R9", "I9"]).unwrap();
         let rebuilt = db.hash_index("Supply", &[0]).unwrap();
         assert!(!Arc::ptr_eq(&ix, &rebuilt));
+        let c2 = db.dict().lookup(&Value::str("C2")).unwrap();
+        assert_eq!(ix.rows_for_vid(c2).len(), 2);
         assert_eq!(
             rebuilt
                 .rows_for_vid(db.dict().lookup(&Value::str("C2")).unwrap())
@@ -1186,10 +1246,10 @@ mod tests {
             &supply_sorted,
             &db.sorted_index("Supply", 0).unwrap()
         ));
-        // …but rebuilds the Articles index.
+        // …but patches a copy of the held Articles index.
         let articles_again = db.hash_index("Articles", &[0]).unwrap();
         assert!(!Arc::ptr_eq(&articles_ix, &articles_again));
-        // Deleting from Supply drops only the Supply indexes.
+        // Deleting from Supply touches only the Supply indexes.
         let articles_after = db.hash_index("Articles", &[0]).unwrap();
         db.delete(Tid(3)).unwrap();
         assert!(!Arc::ptr_eq(
@@ -1312,7 +1372,7 @@ mod tests {
         let again = db.column_stats("Supply").unwrap();
         assert!(Arc::ptr_eq(&stats, &again));
         assert!(db.column_stats("Nope").is_none());
-        // Mutation invalidates the touched relation's stats only.
+        // A write patches the touched relation's stats only.
         let articles = db.column_stats("Articles").unwrap();
         db.insert("Supply", tuple!["C3", "R9", "I9"]).unwrap();
         assert!(!Arc::ptr_eq(&stats, &db.column_stats("Supply").unwrap()));
@@ -1320,7 +1380,33 @@ mod tests {
             &articles,
             &db.column_stats("Articles").unwrap()
         ));
-        assert_eq!(db.column_stats("Supply").unwrap().rows(), 4);
+        let patched = db.column_stats("Supply").unwrap();
+        assert_eq!((patched.rows(), patched.distinct(0)), (4, 3));
+        assert_eq!(*patched, *db.clone().column_stats("Supply").unwrap());
+    }
+
+    #[test]
+    fn writes_patch_unshared_indexes_in_place() {
+        let mut db = supply_db();
+        let ptr = Arc::as_ptr(&db.hash_index("Supply", &[0, 2]).unwrap());
+        let _ = db.sorted_index("Supply", 1);
+        let _ = db.column_stats("Supply");
+        let tid = db.insert("Supply", tuple!["C1", "R0", "I2"]).unwrap();
+        db.update_value(tid, 1, Value::str("R1")).unwrap();
+        db.delete(Tid(1)).unwrap();
+        // Nobody held the index, so it was patched, not copied.
+        let ix = db.hash_index("Supply", &[0, 2]).unwrap();
+        assert_eq!(Arc::as_ptr(&ix), ptr);
+        let fresh = db.clone();
+        assert_eq!(*ix, *fresh.hash_index("Supply", &[0, 2]).unwrap());
+        assert_eq!(
+            *db.sorted_index("Supply", 1).unwrap(),
+            *fresh.sorted_index("Supply", 1).unwrap()
+        );
+        assert_eq!(
+            *db.column_stats("Supply").unwrap(),
+            *fresh.column_stats("Supply").unwrap()
+        );
     }
 
     #[test]
@@ -1362,6 +1448,7 @@ mod tests {
         let rebuilt = db.sorted_index("N", 0).unwrap();
         assert!(!Arc::ptr_eq(&ix, &rebuilt));
         assert_eq!(rebuilt.entries().len(), 5);
+        assert_eq!(*rebuilt, *db.clone().sorted_index("N", 0).unwrap());
     }
 
     #[test]

@@ -1,91 +1,58 @@
 //! Per-relation column statistics for cost-based join planning.
 //!
-//! A [`ColumnStats`] summarizes one relation's columns: the row count and an
-//! estimated number of distinct [`Vid`]s per column. Estimates come from a
-//! **deterministic stride sample** over the columnar store — row positions
-//! `0, s, 2s, …` for a stride chosen so at most [`ColumnStats::SAMPLE_CAP`]
-//! rows are touched — so the same content always yields the same numbers, on
-//! every thread, with no randomness and no clock. Small relations are
-//! measured exactly.
+//! A [`ColumnStats`] summarizes one relation's columns: the row count and,
+//! per column, how many rows hold each distinct [`Vid`]. The distinct
+//! counts are therefore exact, and an insert, a delete or a one-cell
+//! update moves one count per touched column, so the [`crate::Database`]
+//! cache keeps them current across writes instead of rebuilding them.
+//! Vid equality is value equality, so counting vids needs no dictionary
+//! access, and the same content always yields the same numbers, on every
+//! thread, with no randomness and no clock.
 //!
-//! Statistics are *estimates for planning only*: they influence which join
-//! order the evaluator picks, never which answers it produces, so a stale or
-//! coarse figure can cost time but not correctness.
+//! Statistics feed planning only: they influence which join order the
+//! evaluator picks, never which answers it produces.
 
 use crate::column::ColumnStore;
 use crate::dict::Vid;
-use crate::fxhash::WordHashSet;
+use crate::fxhash::WordHashMap;
+use crate::index::RowEdit;
 
-/// Row count plus per-column distinct-vid estimates for one relation.
+/// Row count plus exact per-column distinct-vid counts for one relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStats {
     rows: usize,
-    /// Estimated distinct vids per column (aligned with the store's arity).
-    distinct: Vec<usize>,
-    /// How many rows the estimate actually inspected.
-    sampled: usize,
+    /// Per column (aligned with the store's arity): vid → rows holding it.
+    /// A vid no row holds has no entry.
+    counts: Vec<WordHashMap<Vid, u32>>,
 }
 
 impl ColumnStats {
-    /// Relations at or below this many rows are measured exactly; larger
-    /// ones are stride-sampled down to roughly this many probes.
-    pub const SAMPLE_CAP: usize = 4096;
-
-    /// Build statistics over `store` with deterministic stride sampling.
+    /// Count every column of `store`.
     pub fn build(store: &ColumnStore) -> ColumnStats {
-        let rows = store.len();
-        let arity = store.arity();
-        if rows == 0 {
-            return ColumnStats {
-                rows,
-                distinct: vec![0; arity],
-                sampled: 0,
-            };
-        }
-        let stride = rows.div_ceil(Self::SAMPLE_CAP).max(1);
-        let mut sampled = 0usize;
-        let mut distinct = Vec::with_capacity(arity);
-        for col in 0..arity {
-            let column: &[Vid] = store.column(col);
-            let mut seen: WordHashSet<Vid> = WordHashSet::default();
-            let mut count = 0usize;
-            for &vid in column.iter().step_by(stride) {
-                seen.insert(vid);
-                count += 1;
-            }
-            if col == 0 {
-                sampled = count;
-            }
-            // Naive scale-up of the sampled distinct count, capped at the
-            // row count. Exact when stride == 1.
-            let est = if stride == 1 {
-                seen.len()
-            } else {
-                seen.len().saturating_mul(stride).min(rows)
-            };
-            distinct.push(est.max(1));
-        }
+        let counts = (0..store.arity())
+            .map(|col| {
+                let mut seen: WordHashMap<Vid, u32> = WordHashMap::default();
+                for &vid in store.column(col) {
+                    *seen.entry(vid).or_default() += 1;
+                }
+                seen
+            })
+            .collect();
         ColumnStats {
-            rows,
-            distinct,
-            sampled,
+            rows: store.len(),
+            counts,
         }
     }
 
-    /// Total rows in the relation at build time.
+    /// Total rows in the relation.
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// Rows the sample actually inspected (`== rows` for small relations).
-    pub fn sampled(&self) -> usize {
-        self.sampled
-    }
-
-    /// Estimated distinct vids in `col` (always ≥ 1 for non-empty
-    /// relations; 0 only when the relation is empty or `col` out of range).
+    /// Distinct vids in `col` (0 only when the relation is empty or `col`
+    /// is out of range).
     pub fn distinct(&self, col: usize) -> usize {
-        self.distinct.get(col).copied().unwrap_or(0)
+        self.counts.get(col).map_or(0, WordHashMap::len)
     }
 
     /// Estimated rows matching an equality probe on every column in `cols`:
@@ -101,6 +68,44 @@ impl ColumnStats {
             est = (est / d).max(1);
         }
         est
+    }
+
+    /// Patch the counts for one write to the relation's store.
+    pub(crate) fn apply(&mut self, edit: &RowEdit<'_>) {
+        match *edit {
+            RowEdit::Push { row, .. } => {
+                self.rows += 1;
+                for (col, &vid) in row.iter().enumerate() {
+                    if let Some(seen) = self.counts.get_mut(col) {
+                        *seen.entry(vid).or_default() += 1;
+                    }
+                }
+            }
+            RowEdit::Remove { row, .. } => {
+                self.rows = self.rows.saturating_sub(1);
+                for (col, &vid) in row.iter().enumerate() {
+                    if let Some(seen) = self.counts.get_mut(col) {
+                        uncount(seen, vid);
+                    }
+                }
+            }
+            RowEdit::Set { col, old, row, .. } => {
+                if let (Some(seen), Some(&new)) = (self.counts.get_mut(col), row.get(col)) {
+                    uncount(seen, old);
+                    *seen.entry(new).or_default() += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Take one row off `vid`'s count, dropping the entry at zero.
+fn uncount(seen: &mut WordHashMap<Vid, u32>, vid: Vid) {
+    if let Some(n) = seen.get_mut(&vid) {
+        *n = n.saturating_sub(1);
+        if *n == 0 {
+            seen.remove(&vid);
+        }
     }
 }
 
@@ -123,7 +128,6 @@ mod tests {
         let store = store_of(&[&[1, 10], &[1, 11], &[2, 12], &[2, 12]]);
         let stats = ColumnStats::build(&store);
         assert_eq!(stats.rows(), 4);
-        assert_eq!(stats.sampled(), 4);
         assert_eq!(stats.distinct(0), 2);
         assert_eq!(stats.distinct(1), 3);
         assert_eq!(stats.distinct(9), 0); // out of range
@@ -148,16 +152,51 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_and_bounded() {
-        let mut store = ColumnStore::new(1);
-        for i in 0..(ColumnStats::SAMPLE_CAP as u32 * 3) {
-            store.push(crate::Tid(i as u64 + 1), &[Vid::table(i % 97)]);
+    fn distinct_counts_stay_exact_on_large_relations() {
+        // Above the 4 096 rows where a stride sample used to scale its
+        // distinct count up by the stride (a 50-value column read 650).
+        let mut store = ColumnStore::new(2);
+        for i in 0..10_000u32 {
+            store.push(
+                crate::Tid(i as u64 + 1),
+                &[Vid::table(i % 50), Vid::table(i)],
+            );
         }
-        let a = ColumnStats::build(&store);
-        let b = ColumnStats::build(&store);
-        assert_eq!(a, b); // same content → same numbers, always
-        assert!(a.sampled() <= ColumnStats::SAMPLE_CAP + 1);
-        // 97 true distinct values; the scaled estimate stays in range.
-        assert!(a.distinct(0) >= 1 && a.distinct(0) <= a.rows());
+        let stats = ColumnStats::build(&store);
+        assert_eq!(stats, ColumnStats::build(&store)); // deterministic
+        assert_eq!(stats.distinct(0), 50);
+        assert_eq!(stats.distinct(1), 10_000);
+        assert_eq!(stats.probe_estimate(&[0]), 200);
+    }
+
+    #[test]
+    fn edits_keep_counts_equal_to_a_fresh_build() {
+        let mut store = store_of(&[&[1, 10], &[1, 11], &[2, 12]]);
+        let mut stats = ColumnStats::build(&store);
+        // Append, update a cell, then remove a row: after each, the patched
+        // counts equal a recount.
+        let row = [Vid::table(3), Vid::table(10)];
+        store.push(crate::Tid(9), &row);
+        stats.apply(&RowEdit::Push { pos: 3, row: &row });
+        assert_eq!(stats, ColumnStats::build(&store));
+        store.set_vid(0, 1, Vid::table(12));
+        let updated = store.row_key(0);
+        stats.apply(&RowEdit::Set {
+            pos: 0,
+            col: 1,
+            old: Vid::table(10),
+            row: &updated,
+        });
+        assert_eq!(stats, ColumnStats::build(&store));
+        let removed = store.remove(crate::Tid(2)).unwrap();
+        stats.apply(&RowEdit::Remove {
+            pos: 1,
+            row: &removed,
+        });
+        assert_eq!(stats, ColumnStats::build(&store));
+        assert_eq!(
+            (stats.rows(), stats.distinct(0), stats.distinct(1)),
+            (3, 3, 2)
+        );
     }
 }

@@ -10,14 +10,19 @@
 //!   order seen through ids; sorting by vids-resolved order can therefore
 //!   never diverge from the row-oriented engine's value sort.
 //! * **Columnar ≡ row reference** — denial-constraint violations (hitting
-//!   the sorted-range, rank-lane and generic evaluator paths) and CQA
-//!   joins computed by the id-space engine equal a naive Value-level
-//!   nested-loop reference, and budgeted repair/CQA outcomes are
-//!   byte-identical at 1 and 4 threads under random step budgets.
+//!   the rank lane and the generic evaluator's scans, hash probes and
+//!   range probes) and CQA joins computed by the id-space engine equal a
+//!   naive Value-level nested-loop reference, and budgeted repair/CQA
+//!   outcomes are byte-identical at 1 and 4 threads under random step
+//!   budgets.
+//! * **Maintained ≡ rebuilt** — after every write of a random write
+//!   sequence, each cached hash index, sorted index and the column
+//!   statistics equal what a fresh build over the new rows gives.
 
 use cqa_constraints::{ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{RepairClass, RepairOptions};
 use cqa_exec::{with_threads, Budget};
+use cqa_query::plan::Access;
 use cqa_query::{parse_query, CmpOp, NullSemantics, UnionQuery};
 use cqa_relation::{
     sql_eq, tuple, Database, Facts, RelationSchema, Tid, Truth, Tuple, Value, ValueDict,
@@ -55,6 +60,43 @@ fn instance(r_rows: &[(Value, Value, Value)], s_rows: &[Value]) -> Database {
         db.insert("S", Tuple::new([a.clone()])).unwrap();
     }
     db
+}
+
+/// One write of a random write sequence on `R`. Indexes pick among the
+/// rows present at the time of the write, modulo their count.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(Value, Value, Value),
+    Delete(usize),
+    /// Set one cell of a present row.
+    Update(usize, usize, Value),
+    /// Insert a copy of a present row with one cell replaced, then update
+    /// that cell back: the update collides with the original row and the
+    /// set shrinks.
+    Collide(usize, usize, Value),
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (arb_value(), arb_value(), arb_value()).prop_map(|(a, b, c)| Write::Insert(a, b, c)),
+        (0usize..100).prop_map(Write::Delete),
+        (0usize..100, 0usize..3, arb_value()).prop_map(|(i, c, v)| Write::Update(i, c, v)),
+        (0usize..100, 0usize..3, arb_value()).prop_map(|(i, c, v)| Write::Collide(i, c, v)),
+    ]
+}
+
+/// The `i`-th present row of `R` (modulo the row count), if any.
+fn pick(db: &Database, i: usize) -> Option<(Tid, Tuple)> {
+    let rows: Vec<(Tid, Tuple)> = db.facts_in("R").map(|(t, r)| (t, r.clone())).collect();
+    rows.get(i % rows.len().max(1)).cloned()
+}
+
+/// Build (or touch) every cache the maintenance contract covers.
+fn touch_caches(db: &Database) {
+    let _ = db.hash_index("R", &[1]);
+    let _ = db.hash_index("R", &[0, 2]);
+    let _ = db.sorted_index("R", 1);
+    let _ = db.column_stats("R");
 }
 
 /// SQL-semantics equality: true only for equal non-null values.
@@ -103,24 +145,106 @@ proptest! {
         prop_assert_eq!(resolved, by_value);
     }
 
-    /// Sorted-range fast path (`R(x,y,z), x > K`) against a Value-level
-    /// nested-loop reference under SQL comparison semantics.
+    /// Constant comparisons (`R(x,y,z), x op K`, either orientation)
+    /// against a Value-level filter under SQL comparison semantics. From
+    /// `INDEX_THRESHOLD` rows on the evaluator range-probes the sorted index
+    /// on `x`; below it, it scans.
     #[test]
     fn range_violations_match_row_reference(
-        r_rows in vec((arb_value(), arb_value(), arb_value()), 0..30),
+        r_rows in vec((arb_value(), arb_value(), arb_value()), 0..80),
         k in -3i64..7,
+        op_pick in 0usize..5,
+        flip in any::<bool>(),
     ) {
         let db = instance(&r_rows, &[]);
-        let dc = DenialConstraint::parse("gt", &format!("R(x, y, z), x > {k}")).unwrap();
+        let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq][op_pick];
+        let body = if flip {
+            format!("R(x, y, z), {k} {} x", op.flipped())
+        } else {
+            format!("R(x, y, z), x {op} {k}")
+        };
+        let dc = DenialConstraint::parse("cmp", &body).unwrap();
         let bound = Value::Int(k);
-        let expect: BTreeSet<BTreeSet<Tid>> = db
-            .facts_in("R")
-            .filter(|(_, t)| {
-                t.get(0).is_some_and(|a| !a.is_null() && CmpOp::Gt.eval(a, &bound))
+        let expect = |facts: &dyn Facts| -> BTreeSet<BTreeSet<Tid>> {
+            facts
+                .facts_in("R")
+                .filter(|(_, t)| t.get(0).is_some_and(|a| !a.is_null() && op.eval(a, &bound)))
+                .map(|(tid, _)| BTreeSet::from([tid]))
+                .collect()
+        };
+        prop_assert_eq!(dc.violations(&db), expect(&db), "{}", body);
+        let access = cqa_query::plan::explain(&db, dc.body()).steps[0].access.clone();
+        let indexed = db.relation_len("R") >= cqa_query::plan::INDEX_THRESHOLD;
+        prop_assert_eq!(matches!(access, Access::RangeProbe { col: 0, .. }), indexed);
+        // A repair view: every third row deleted, and the first rows again
+        // with `x` moved by one (new values included) as its overlay.
+        let deleted: BTreeSet<Tid> = db.tids().into_iter().step_by(3).collect();
+        let inserted: Vec<(String, Tuple)> = r_rows
+            .iter()
+            .take(3)
+            .map(|(a, b, c)| {
+                let x = match a {
+                    Value::Int(i) => Value::Int(i + 1),
+                    other => other.clone(),
+                };
+                ("R".to_string(), Tuple::new([x, b.clone(), c.clone()]))
             })
-            .map(|(tid, _)| BTreeSet::from([tid]))
             .collect();
-        prop_assert_eq!(dc.violations(&db), expect);
+        let view = cqa_relation::DeltaView::new(&db, &deleted, &inserted);
+        prop_assert_eq!(dc.violations(&view), expect(&view), "{} on a view", body);
+    }
+
+    /// Every cached hash index (one and two columns), the sorted index and
+    /// the column statistics of `R` stay equal to a fresh build (what a
+    /// `clone()`, which starts with an empty cache, builds) after each
+    /// write of a random sequence of inserts, deletes and one-cell updates.
+    #[test]
+    fn maintained_indexes_equal_fresh_builds(
+        r_rows in vec((arb_value(), arb_value(), arb_value()), 0..80),
+        writes in vec(arb_write(), 0..12),
+    ) {
+        let mut db = instance(&r_rows, &[]);
+        for write in &writes {
+            touch_caches(&db);
+            match write {
+                Write::Insert(a, b, c) => {
+                    db.insert("R", Tuple::new([a.clone(), b.clone(), c.clone()])).unwrap();
+                }
+                Write::Delete(i) => {
+                    if let Some((tid, _)) = pick(&db, *i) {
+                        db.delete(tid).unwrap();
+                    }
+                }
+                Write::Update(i, col, v) => {
+                    if let Some((tid, _)) = pick(&db, *i) {
+                        db.update_value(tid, *col, v.clone()).unwrap();
+                    }
+                }
+                Write::Collide(i, col, v) => {
+                    let Some((tid, row)) = pick(&db, *i) else { continue };
+                    let mut cells: Vec<Value> = row.iter().cloned().collect();
+                    let original = std::mem::replace(&mut cells[*col], v.clone());
+                    let copy = db.insert("R", Tuple::new(cells)).unwrap();
+                    touch_caches(&db);
+                    let before = db.relation_len("R");
+                    db.update_value(copy, *col, original).unwrap();
+                    if copy != tid {
+                        // The copy now equals the original row: one of the
+                        // two leaves the set.
+                        prop_assert_eq!(db.relation_len("R"), before - 1);
+                    }
+                }
+            }
+            let fresh = db.clone();
+            for cols in [&[1usize][..], &[0, 2]] {
+                prop_assert_eq!(
+                    db.hash_index("R", cols).unwrap(),
+                    fresh.hash_index("R", cols).unwrap()
+                );
+            }
+            prop_assert_eq!(db.sorted_index("R", 1).unwrap(), fresh.sorted_index("R", 1).unwrap());
+            prop_assert_eq!(db.column_stats("R").unwrap(), fresh.column_stats("R").unwrap());
+        }
     }
 
     /// Hash-join fast path (`R(x,y,z), S(x)`) and the CQA join built on the

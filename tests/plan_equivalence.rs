@@ -37,7 +37,8 @@ fn key_instance(groups: &[u8]) -> (Database, ConstraintSet) {
     (db, sigma)
 }
 
-/// The query pool: joins, projections, and a Boolean query, all over the
+/// The query pool: joins, projections, a Boolean query and two constant
+/// comparisons (range probes once `T` is large enough), all over the
 /// shared `T`/`D` schema so the cache sees repeated (query, content) keys.
 fn query_pool() -> Vec<UnionQuery> {
     [
@@ -45,6 +46,8 @@ fn query_pool() -> Vec<UnionQuery> {
         "Q(x, w) :- T(x, y), D(y, w)",
         "Q() :- T(x, y), D(y, w)",
         "Q(y) :- T(x, y), T(z, y)",
+        "Q(x, y) :- T(x, y), x >= 2",
+        "Q(x, w) :- T(x, y), D(y, w), y < 2",
     ]
     .iter()
     .map(|q| parse_ucq(q).unwrap())
@@ -139,21 +142,32 @@ proptest! {
 
     /// Any admissible join order gives the same answer set: a random
     /// permutation of the atoms, fed through `eval_cq_ordered`, matches
-    /// the planner's own order under both null semantics.
+    /// the planner's own order under both null semantics. Each query runs
+    /// on the instance as generated and with `T` padded past the index
+    /// threshold by clean keys, where the comparison queries range-probe.
     #[test]
     fn any_admissible_join_order_is_answer_preserving(
         groups in proptest::collection::vec(1u8..5, 1..6),
         seed in proptest::prelude::any::<u64>(),
     ) {
         let (db, _) = key_instance(&groups);
-        for text in ["Q(x, w) :- T(x, y), D(y, w)", "Q(y) :- T(x, y), T(z, y), D(y, w)"] {
-            let cq = parse_query(text).unwrap();
+        let mut padded = db.clone();
+        for k in 0..40i64 {
+            padded.insert("T", tuple![100 + k, k % 6 - 1]).unwrap();
+        }
+        let cqs = ["Q(x, w) :- T(x, y), D(y, w)", "Q(y) :- T(x, y), T(z, y), D(y, w)"]
+            .into_iter()
+            .map(|text| parse_query(text).unwrap())
+            .chain(query_pool().into_iter().flat_map(|q| q.disjuncts));
+        for cq in cqs {
             let order = permutation(cq.atoms.len(), seed);
-            for mode in [NullSemantics::Sql, NullSemantics::Structural] {
-                let planned = eval_cq(&db, &cq, mode);
-                let forced = eval_cq_ordered(&db, &cq, mode, &order);
-                prop_assert_eq!(&planned, &forced,
-                    "order {:?} drifted on {} under {:?}", &order, text, mode);
+            for db in [&db, &padded] {
+                for mode in [NullSemantics::Sql, NullSemantics::Structural] {
+                    let planned = eval_cq(db, &cq, mode);
+                    let forced = eval_cq_ordered(db, &cq, mode, &order);
+                    prop_assert_eq!(&planned, &forced,
+                        "order {:?} drifted on {} under {:?}", &order, cq, mode);
+                }
             }
         }
     }
