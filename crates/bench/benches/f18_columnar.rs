@@ -22,12 +22,20 @@
 //! and statistics upkeep, its conflict-state delta and the reads that
 //! follow it. Before timing it checks that the session's answers after a
 //! write equal `answer_consistently` on a fresh load of the same rows.
+//!
+//! `certain_50k` times the two `mutate_mix` reads on a warm 50 000-order
+//! `CqaSession`, the size whose per-component hitting-set families took
+//! the search 16.5–18.1 s per read on a 2-vCPU host before block-shaped
+//! components were read off their classes. Before timing it checks every
+//! component's families: each minimal set is a minimal hitting set of its
+//! component, and each minimum set is a hitting set of the component's
+//! smallest minimal size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cqa_bench::rowstore::{f18_rowdb, RowDb};
 use cqa_bench::{f18_columnar, f18_data};
-use cqa_constraints::DenialConstraint;
+use cqa_constraints::{ConflictHypergraph, DenialConstraint};
 use cqa_core::{answer_consistently, CqaSession, IncrementalState};
 use cqa_exec::Budget;
 use cqa_query::{parse_query, parse_ucq, ConjunctiveQuery, NullSemantics, UnionQuery};
@@ -186,11 +194,76 @@ fn bench_write_then_read(c: &mut Criterion) {
     group.finish();
 }
 
+/// How many tuples of `set` each edge of `g` holds.
+fn hits(g: &ConflictHypergraph, set: &BTreeSet<Tid>) -> Vec<usize> {
+    g.edges
+        .iter()
+        .map(|e| e.iter().filter(|t| set.contains(t)).count())
+        .collect()
+}
+
+/// `set` hits every edge, and each of its tuples alone hits some edge.
+fn is_minimal_hitting_set(g: &ConflictHypergraph, set: &BTreeSet<Tid>) -> bool {
+    let hits = hits(g, set);
+    hits.iter().all(|&h| h > 0)
+        && set.iter().all(|t| {
+            g.edges
+                .iter()
+                .zip(&hits)
+                .any(|(e, &h)| h == 1 && e.contains(t))
+        })
+}
+
+fn bench_certain_50k(c: &mut Criterion) {
+    let (db, sigma) = f18_columnar(&f18_data(50_000, 7));
+    let queries: Vec<UnionQuery> = MUTATE_MIX_READS
+        .iter()
+        .map(|q| parse_ucq(q).unwrap())
+        .collect();
+    let components = sigma.conflict_hypergraph(&db).unwrap().components();
+    let unlimited = Budget::unlimited();
+    let minimal = components
+        .minimal_hitting_sets_factored(&unlimited)
+        .into_value();
+    let (_, minimum) = components
+        .minimum_hitting_sets_factored(&unlimited)
+        .into_value();
+    for ((component, minimal), minimum) in components
+        .components
+        .iter()
+        .zip(&minimal.families)
+        .zip(&minimum.families)
+    {
+        let g = component.graph();
+        assert!(minimal.iter().all(|h| is_minimal_hitting_set(g, h)));
+        let smallest = minimal.iter().map(BTreeSet::len).min();
+        assert!(!minimum.is_empty());
+        assert!(minimum
+            .iter()
+            .all(|h| Some(h.len()) == smallest && hits(g, h).iter().all(|&n| n > 0)));
+    }
+    let mut session = CqaSession::new(db, sigma).unwrap();
+    let budget = Budget::unlimited();
+
+    let mut group = c.benchmark_group("certain_50k");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("f18", 50_000), |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .map(|q| session.certain(q, &budget).unwrap().into_value().answers)
+                .collect::<Vec<BTreeSet<Tuple>>>()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_f18,
     bench_codec_load,
     bench_conflict_build,
-    bench_write_then_read
+    bench_write_then_read,
+    bench_certain_50k
 );
 criterion_main!(benches);

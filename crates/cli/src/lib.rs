@@ -224,7 +224,8 @@ COMMANDS:
                                             CQA dichotomy (Q003 FO-rewritable
                                             / Q004 coNP witness);
                                             --components adds the conflict-
-                                            component histogram, frozen-core
+                                            component histogram, the block-
+                                            shaped count, frozen-core
                                             fraction and product-size savings;
                                             --plan (with --query + --db) prints
                                             the cost-based join order, per-step
@@ -368,6 +369,16 @@ fn cmd_analyze(opts: &Opts, out: &mut String) -> Result<i32, String> {
             for (size, count) in &histogram {
                 let _ = writeln!(out, "  {count} component(s) of {size} tuple(s)");
             }
+            let blocks = components
+                .components
+                .iter()
+                .filter(|c| c.graph().is_block_shaped())
+                .count();
+            let _ = writeln!(
+                out,
+                "  block-shaped: {blocks} of {} (families read off their classes, not searched)",
+                components.components.len(),
+            );
             // Estimated product-size savings: enumerate the per-component
             // S-repair families (budgeted) and compare Σ against ∏.
             let families = components.minimal_hitting_sets_factored(&budget);
@@ -1301,6 +1312,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("2 component(s) of 2 tuple(s)"), "{out}");
+        assert!(out.contains("block-shaped: 2 of 2"), "{out}");
         assert!(
             out.contains("repair families: 4 component-local vs 4 cross-product"),
             "{out}"

@@ -14,12 +14,21 @@
 //!   a canonical (smallest-tid-first) order;
 //! * [`ConflictComponents::minimal_hitting_sets_factored`] /
 //!   [`ConflictComponents::minimum_hitting_sets_factored`] — per-component
-//!   hitting-set search producing [`FactoredFamilies`], never the expanded
-//!   cross-product;
+//!   hitting-set families producing [`FactoredFamilies`], never the
+//!   expanded cross-product;
 //! * [`ConflictComponents::minimum_hitting_set_size_budgeted`] — the global
 //!   minimum as the *sum* of per-component branch-and-bound minima, each a
 //!   small search with its own bound instead of one big search sharing a
 //!   global incumbent.
+//!
+//! A component that is block-shaped ([`ConflictHypergraph::is_block_shaped`]:
+//! a key group or one FD's left-hand-side group, which is complete
+//! multipartite, or a lone edge) is not searched: its families are read off
+//! its classes, in the search's order, after one pass over its edges and in
+//! time linear in the family. Every component the F18 workloads produce is
+//! of this shape; other components keep the search.
+//! [`ConflictComponents::minimum_hitting_sets_factored`] reads each
+//! component's shape once for both its size proof and its family.
 //!
 //! Components are independent, so `cqa-exec` runs them in parallel once
 //! there is enough of them to pay for the workers ([`PAR_MIN_EDGES`]); the
@@ -28,7 +37,7 @@
 //! semantics (`FactoredRepairSet`, component-aware CQA folds) on top.
 
 // audit:exponential — component-local hitting-set enumeration; every search loop must thread a Budget.
-use crate::hypergraph::ConflictHypergraph;
+use crate::hypergraph::{BlockShape, ConflictHypergraph};
 use cqa_exec::{Budget, Outcome};
 use cqa_relation::Tid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,7 +111,10 @@ pub struct ConflictComponents {
 /// Per-component hitting-set families, plus a per-component exactness tag.
 ///
 /// `families[i]` holds the (deletion-delta) hitting sets of component `i` in
-/// the canonical component order; the global family is the cross-product
+/// the canonical component order, each family sorted — whether it was
+/// searched or, for a block-shaped component, read off the component's
+/// classes (a budget cut then keeps a prefix of the sorted family). The
+/// global family is the cross-product
 /// `{ h_0 ∪ … ∪ h_{m−1} : h_i ∈ families[i] }`, which this type never
 /// materializes. `exact[i]` records whether component `i` was fully
 /// enumerated before the shared budget latched — on truncation the
@@ -408,9 +420,11 @@ impl ConflictComponents {
     /// Do the per-component searches go to the `cqa-exec` pool? Not under
     /// a logical budget (deterministic truncation needs canonical order),
     /// not on one thread, and not below [`PAR_MIN_EDGES`] edges in all.
+    /// The thread count is read last: resolving it reads the environment
+    /// and the host's CPU count, which costs more than a small graph's
+    /// block-shaped families.
     fn parallel(&self, budget: &Budget) -> bool {
         !budget.forces_sequential()
-            && cqa_exec::threads() > 1
             && self.components.len() >= 2
             && self
                 .components
@@ -418,6 +432,7 @@ impl ConflictComponents {
                 .map(ComponentGraph::edge_count)
                 .sum::<usize>()
                 >= PAR_MIN_EDGES
+            && cqa_exec::threads() > 1
     }
 
     /// Run `f` over `items`, one per component in canonical order. On the
@@ -489,21 +504,29 @@ impl ConflictComponents {
         &self,
         budget: &Budget,
     ) -> Outcome<(usize, FactoredFamilies)> {
-        let sizes = self.per_component(&self.components, budget, |c| {
-            c.graph().minimum_hitting_set_size_budgeted(budget)
+        // Each component's block shape is read once and serves both its size
+        // proof and its family.
+        let proofs = self.per_component(&self.components, budget, |c| {
+            let shape = c.graph().block_shape();
+            let size = c.graph().minimum_size_in(shape.as_ref(), None, budget);
+            (shape, size)
         });
-        let total: usize = sizes.iter().map(|o| *o.value()).sum();
-        if budget.exhausted() || sizes.iter().any(Outcome::is_truncated) {
+        let total: usize = proofs.iter().map(|(_, size)| *size.value()).sum();
+        if budget.exhausted() || proofs.iter().any(|(_, size)| size.is_truncated()) {
             let fams = FactoredFamilies {
                 families: vec![Vec::new(); self.components.len()],
                 exact: vec![false; self.components.len()],
             };
             return budget.outcome_with((total, fams), 0);
         }
-        let sizes: Vec<usize> = sizes.into_iter().map(Outcome::into_value).collect();
-        let sized: Vec<(&ComponentGraph, usize)> = self.components.iter().zip(sizes).collect();
-        let results = self.per_component(&sized, budget, |&(c, k)| {
-            let out = c.graph().minimum_hitting_sets_at(k, budget);
+        let sized: Vec<(&ComponentGraph, Option<BlockShape>, usize)> = self
+            .components
+            .iter()
+            .zip(proofs)
+            .map(|(c, (shape, size))| (c, shape, size.into_value()))
+            .collect();
+        let results = self.per_component(&sized, budget, |(c, shape, k)| {
+            let out = c.graph().minimum_sets_at_in(shape.as_ref(), *k, budget);
             let exact = out.is_exact();
             (out.into_value(), exact)
         });

@@ -13,6 +13,21 @@
 //! hitting sets (with pruning) and branch-and-bound computation of minimum
 //! ones. `cqa-core` wraps these into repair semantics.
 //!
+//! **Block-shaped graphs skip the search.** A key, or one FD inside one
+//! left-hand-side group, turns a block of key-equal tuples into a complete
+//! multipartite graph: every edge has two tuples, and two tuples are
+//! adjacent iff they disagree. Its minimal hitting sets are "delete every
+//! class but one" and its minimum ones keep a largest class; a graph with a
+//! single edge has that edge's singletons. [`ConflictHypergraph::
+//! is_block_shaped`] recognizes both shapes from the edges alone, and the
+//! three family entries — [`ConflictHypergraph::minimal_hitting_sets_budgeted`]
+//! without a `limit`, [`ConflictHypergraph::minimum_hitting_set_size_seeded`]
+//! and [`ConflictHypergraph::minimum_hitting_sets_at`] at the block minimum —
+//! then read the family off the classes in the search's own (sorted) order,
+//! one tick and one item charge per emitted set and one tick for the size
+//! proof. A declined graph runs the search unchanged. DESIGN.md
+//! (*Conflict-component factorization*) has the proof.
+//!
 //! The search trees are explored in parallel through `cqa-exec`: the top
 //! levels of each tree are split into independent branch tasks on a work
 //! queue (so uneven subtrees load-balance), below a split depth scaled to
@@ -114,6 +129,85 @@ fn canonical_edges(mut edges: Vec<BTreeSet<Tid>>) -> Vec<BTreeSet<Tid>> {
         }
     }
     kept
+}
+
+/// The classes of a block-shaped graph, read off its edges by
+/// [`ConflictHypergraph::block_shape`]. Every family it emits is in the
+/// search's canonical (sorted) order, so a budget cut leaves a prefix of the
+/// exact family.
+#[derive(Debug)]
+pub(crate) enum BlockShape {
+    /// A graph of one edge, whose tuples these are (ascending). Its minimal
+    /// and its minimum hitting sets are the edge's singletons.
+    Edge(Vec<Tid>),
+    /// A complete multipartite graph over the covered tuples `tids`
+    /// (ascending). `class[i]` is the class of `tids[i]` and `sizes[c]` the
+    /// size of class `c`; classes are numbered in ascending order of their
+    /// smallest tuple.
+    Classes {
+        tids: Vec<Tid>,
+        class: Vec<usize>,
+        sizes: Vec<usize>,
+    },
+}
+
+impl BlockShape {
+    /// The minimum hitting-set size: one tuple of the edge, or every
+    /// covered tuple outside a largest class.
+    fn minimum_size(&self) -> usize {
+        match self {
+            BlockShape::Edge(_) => 1,
+            BlockShape::Classes { tids, sizes, .. } => {
+                tids.len() - sizes.iter().copied().max().unwrap_or(0)
+            }
+        }
+    }
+
+    /// The minimal hitting sets (`minimum = false`) or the minimum ones, in
+    /// sorted order, ticking once before and charging one item after each
+    /// set. On truncation the result is the prefix emitted so far.
+    ///
+    /// The complement of class `c` precedes the complement of class `d`
+    /// when `c`'s smallest tuple is larger: below the smaller of the two
+    /// smallest tuples `x` both complements agree, at `x` only the
+    /// complement of the class without `x` holds `x`, and the other
+    /// complement continues with a larger tuple (the other class's
+    /// smallest). Classes are numbered by ascending smallest tuple, so the
+    /// sorted family runs over them in reverse.
+    fn family(&self, minimum: bool, budget: &Budget) -> Outcome<Vec<BTreeSet<Tid>>> {
+        let sets: Box<dyn Iterator<Item = BTreeSet<Tid>> + '_> = match self {
+            BlockShape::Edge(tids) => Box::new(tids.iter().map(|&t| BTreeSet::from([t]))),
+            BlockShape::Classes { tids, class, sizes } => {
+                let keep = self.minimum_size();
+                Box::new(
+                    sizes
+                        .iter()
+                        .enumerate()
+                        .rev()
+                        .filter(move |&(_, &size)| !minimum || tids.len() - size == keep)
+                        .map(move |(c, _)| {
+                            tids.iter()
+                                .zip(class)
+                                .filter(|&(_, &k)| k != c)
+                                .map(|(&t, _)| t)
+                                .collect()
+                        }),
+                )
+            }
+        };
+        let mut out = Vec::new();
+        for set in sets {
+            if !budget.tick() {
+                break;
+            }
+            out.push(set);
+            if !budget.charge_item() {
+                break;
+            }
+        }
+        let n = out.len() as u64;
+        budget.outcome_with(out, n)
+    }
 }
 
 /// A conflict hyper-graph.
@@ -359,6 +453,104 @@ impl ConflictHypergraph {
         })
     }
 
+    /// Is this graph block-shaped, so that its repair families are read off
+    /// its classes instead of searched? It is when it has exactly one
+    /// (non-empty) edge, or when every edge has two tuples and the covered
+    /// tuples form a complete multipartite graph: each tuple is adjacent to
+    /// every tuple outside its class and to none inside it. A key's block
+    /// of key-equal tuples, or one FD's left-hand-side group, is of this
+    /// shape. The test reads the edges alone, in linear time up to one
+    /// binary search per edge endpoint.
+    pub fn is_block_shaped(&self) -> bool {
+        self.block_shape().is_some()
+    }
+
+    /// The classes behind [`Self::is_block_shaped`], or `None` when the
+    /// graph is declined. A tuple's class is its non-neighbourhood among
+    /// the covered tuples (isolated nodes are in no hitting set and are
+    /// skipped). Classes are grown one at a time from the smallest tuple
+    /// not yet placed, by stamping that tuple's neighbours and placing
+    /// every unplaced tuple it does not stamp, which costs the unplaced
+    /// tuples it visits: those it places plus at most its degree. The
+    /// graph is then accepted iff no edge lies inside a class and the edge
+    /// count is the number of cross-class pairs, `(n² − Σ|Cᵢ|²) / 2`.
+    pub(crate) fn block_shape(&self) -> Option<BlockShape> {
+        if let [edge] = self.edges.as_slice() {
+            return (!edge.is_empty()).then(|| BlockShape::Edge(edge.iter().copied().collect()));
+        }
+        if self.edges.is_empty() || self.edges.iter().any(|e| e.len() != 2) {
+            return None;
+        }
+        let nodes: Vec<Tid> = self.nodes.iter().copied().collect();
+        let position = |t: &Tid| nodes.binary_search(t).ok();
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(self.edges.len());
+        let mut degree = vec![0usize; nodes.len()];
+        for edge in &self.edges {
+            let mut ends = edge.iter();
+            let a = ends.next().and_then(position)?;
+            let b = ends.next().and_then(position)?;
+            *degree.get_mut(a)? += 1;
+            *degree.get_mut(b)? += 1;
+            pairs.push((a, b));
+        }
+        // Adjacency in compressed rows: `start[p]..start[p + 1]` indexes the
+        // neighbours of position `p`.
+        let mut start: Vec<usize> = Vec::with_capacity(nodes.len() + 1);
+        start.push(0);
+        for d in &degree {
+            start.push(start.last().copied().unwrap_or(0) + d);
+        }
+        let mut fill: Vec<usize> = start.clone();
+        let mut adjacent = vec![0usize; 2 * pairs.len()];
+        for &(a, b) in &pairs {
+            for (from, to) in [(a, b), (b, a)] {
+                let slot = fill.get_mut(from)?;
+                *adjacent.get_mut(*slot)? = to;
+                *slot += 1;
+            }
+        }
+        const UNPLACED: usize = usize::MAX;
+        let mut class = vec![UNPLACED; nodes.len()];
+        let mut stamp = vec![UNPLACED; nodes.len()];
+        let mut unplaced: Vec<usize> = (0..nodes.len())
+            .filter(|&p| degree.get(p).is_some_and(|&d| d > 0))
+            .collect();
+        let mut sizes: Vec<usize> = Vec::new();
+        while let Some(&first) = unplaced.first() {
+            let c = sizes.len();
+            let neighbours = start.get(first).copied()?..start.get(first + 1).copied()?;
+            for &u in adjacent.get(neighbours)? {
+                *stamp.get_mut(u)? = c;
+            }
+            let mut size = 0;
+            unplaced.retain(|&u| {
+                if stamp.get(u) == Some(&c) {
+                    return true;
+                }
+                if let Some(slot) = class.get_mut(u) {
+                    *slot = c;
+                }
+                size += 1;
+                false
+            });
+            sizes.push(size);
+        }
+        if pairs.iter().any(|&(a, b)| class.get(a) == class.get(b)) {
+            return None;
+        }
+        let n: u128 = sizes.iter().map(|&s| s as u128).sum();
+        let within: u128 = sizes.iter().map(|&s| (s as u128) * (s as u128)).sum();
+        if 2 * pairs.len() as u128 != n * n - within {
+            return None;
+        }
+        let (tids, class): (Vec<Tid>, Vec<usize>) = nodes
+            .into_iter()
+            .zip(class)
+            .filter(|&(_, c)| c != UNPLACED)
+            .unzip();
+        Some(BlockShape::Classes { tids, class, sizes })
+    }
+
     /// Enumerate **all minimal hitting sets**, deterministically.
     ///
     /// MMCS-style branching: pick the smallest uncovered edge and branch on
@@ -383,11 +575,26 @@ impl ConflictHypergraph {
     /// runs the sequential DFS, making the truncated subset byte-identical
     /// at any thread count; a deadline budget keeps the parallel search and
     /// only promises soundness, not which subset.
+    ///
+    /// Without a `limit`, a block-shaped graph ([`Self::is_block_shaped`])
+    /// emits its family off its classes instead, and a cut leaves a prefix
+    /// of the sorted family. With a `limit` the search runs: its DFS-order
+    /// prefix is what a limited repair listing shows.
     pub fn minimal_hitting_sets_budgeted(
         &self,
         limit: Option<usize>,
         budget: &Budget,
     ) -> Outcome<Vec<BTreeSet<Tid>>> {
+        if limit.is_none() {
+            if let Some(shape) = self.block_shape() {
+                return shape.family(false, budget);
+            }
+        }
+        self.minimal_search(limit, budget)
+    }
+
+    /// The MMCS search behind [`Self::minimal_hitting_sets_budgeted`].
+    fn minimal_search(&self, limit: Option<usize>, budget: &Budget) -> Outcome<Vec<BTreeSet<Tid>>> {
         // A limit or a logical budget means "stop early", which only has a
         // deterministic meaning in DFS order — keep those paths (and trivial
         // graphs) sequential.
@@ -590,14 +797,31 @@ impl ConflictHypergraph {
     /// so seeding with the previously proven minimum turns the search into
     /// a pure verification pass. The reported minimum is identical to the
     /// unseeded search — seeding only prunes provably non-improving
-    /// branches earlier.
+    /// branches earlier. A block-shaped graph ([`Self::is_block_shaped`])
+    /// needs no search: its size proof is one tick.
     pub fn minimum_hitting_set_size_seeded(
         &self,
         upper: Option<usize>,
         budget: &Budget,
     ) -> Outcome<usize> {
+        self.minimum_size_in(self.block_shape().as_ref(), upper, budget)
+    }
+
+    /// [`Self::minimum_hitting_set_size_seeded`] for a graph whose
+    /// [`Self::block_shape`] the caller has already read, so that a size
+    /// proof followed by [`Self::minimum_sets_at_in`] detects once.
+    pub(crate) fn minimum_size_in(
+        &self,
+        shape: Option<&BlockShape>,
+        upper: Option<usize>,
+        budget: &Budget,
+    ) -> Outcome<usize> {
         if self.edges.is_empty() {
             return budget.outcome_with(0, 0);
+        }
+        if let Some(shape) = shape {
+            let _ = budget.tick();
+            return budget.outcome(shape.minimum_size());
         }
         let greedy = match upper {
             Some(u) => u.min(self.greedy_hitting_set().len()),
@@ -785,11 +1009,12 @@ impl ConflictHypergraph {
     /// itself, the minimum is unknown and the result is an empty truncated
     /// list (never a list of wrong-sized sets).
     pub fn minimum_hitting_sets_budgeted(&self, budget: &Budget) -> Outcome<Vec<BTreeSet<Tid>>> {
-        let size = self.minimum_hitting_set_size_budgeted(budget);
+        let shape = self.block_shape();
+        let size = self.minimum_size_in(shape.as_ref(), None, budget);
         if budget.exhausted() {
             return budget.outcome_with(Vec::new(), 0);
         }
-        self.minimum_hitting_sets_at(size.into_value(), budget)
+        self.minimum_sets_at_in(shape.as_ref(), size.into_value(), budget)
     }
 
     /// Enumerate all hitting sets of the **known** minimum size `k`,
@@ -800,11 +1025,29 @@ impl ConflictHypergraph {
     /// ([`Self::minimum_hitting_set_size`]); with a too-large `k` the
     /// defensive sub-`k` check still only emits genuine hitting sets, but
     /// the family is no longer the C-repair delta family.
+    ///
+    /// A block-shaped graph ([`Self::is_block_shaped`]) whose minimum is
+    /// `k` emits the complements of its largest classes (or its edge's
+    /// singletons) instead; any other `k` keeps the search.
     pub fn minimum_hitting_sets_at(
         &self,
         k: usize,
         budget: &Budget,
     ) -> Outcome<Vec<BTreeSet<Tid>>> {
+        self.minimum_sets_at_in(self.block_shape().as_ref(), k, budget)
+    }
+
+    /// [`Self::minimum_hitting_sets_at`] for a graph whose
+    /// [`Self::block_shape`] the caller has already read.
+    pub(crate) fn minimum_sets_at_in(
+        &self,
+        shape: Option<&BlockShape>,
+        k: usize,
+        budget: &Budget,
+    ) -> Outcome<Vec<BTreeSet<Tid>>> {
+        if let Some(shape) = shape.filter(|s| s.minimum_size() == k) {
+            return shape.family(true, budget);
+        }
         if budget.forces_sequential() || cqa_exec::threads() <= 1 || self.edges.len() < 2 {
             let mut out: BTreeSet<BTreeSet<Tid>> = BTreeSet::new();
             let mut current = BTreeSet::new();
@@ -933,6 +1176,9 @@ impl ConflictHypergraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn tids(ids: &[u64]) -> BTreeSet<Tid> {
         ids.iter().map(|&i| Tid(i)).collect()
@@ -1221,6 +1467,198 @@ mod tests {
         let lazy = ConflictHypergraph::new(nodes.clone(), raw.iter().cloned());
         let next = lazy.apply_violation_delta(nodes, &BTreeSet::new(), &BTreeSet::new());
         assert!(next.components.get().is_none());
+    }
+
+    /// Fisher–Yates over the vendored generator, which has no `shuffle`.
+    fn shuffle<T>(rng: &mut SmallRng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    /// A random complete multipartite graph: 2 to `classes` classes of 1
+    /// to `size` tuples, labelled from `labels`. Returns the classes and
+    /// the edges (every cross-class pair).
+    fn multipartite(
+        rng: &mut SmallRng,
+        labels: &mut impl Iterator<Item = Tid>,
+        classes: usize,
+        size: usize,
+    ) -> (Vec<Vec<Tid>>, Vec<BTreeSet<Tid>>) {
+        let classes: Vec<Vec<Tid>> = (0..rng.gen_range(2..classes + 1))
+            .map(|_| labels.take(rng.gen_range(1..size + 1)).collect())
+            .collect();
+        let mut edges = Vec::new();
+        for (i, class) in classes.iter().enumerate() {
+            for other in &classes[i + 1..] {
+                for &a in class {
+                    for &b in other {
+                        edges.push(tids(&[a.0, b.0]));
+                    }
+                }
+            }
+        }
+        (classes, edges)
+    }
+
+    /// `ConflictHypergraph::new` over `edges` in random order.
+    fn graph(
+        rng: &mut SmallRng,
+        nodes: BTreeSet<Tid>,
+        mut edges: Vec<BTreeSet<Tid>>,
+    ) -> ConflictHypergraph {
+        shuffle(rng, &mut edges);
+        ConflictHypergraph::new(nodes, edges)
+    }
+
+    /// Most covered tuples for which the minimum side is compared with the
+    /// search. Branch-and-bound is exponential on complete multipartite
+    /// graphs: in a release build five classes of five take 3 s to size
+    /// and 23 s to enumerate, against 0.3 ms for three classes of three.
+    const SEARCHED_MINIMUM: usize = 12;
+
+    /// The three family entries equal the search they bypass, byte for
+    /// byte, at one and at four threads: the minimal family always, the
+    /// minimum size and family up to [`SEARCHED_MINIMUM`] covered tuples.
+    fn entries_match_the_search(g: &ConflictHypergraph) -> Result<(), TestCaseError> {
+        let covered = g.nodes.len() - g.isolated_nodes().len();
+        for threads in [1, 4] {
+            cqa_exec::with_threads(threads, || {
+                let fresh = Budget::unlimited;
+                prop_assert_eq!(
+                    g.minimal_hitting_sets_budgeted(None, &fresh()),
+                    g.minimal_search(None, &fresh())
+                );
+                if covered > SEARCHED_MINIMUM {
+                    return Ok(());
+                }
+                let k = g.minimum_hitting_set_size_budgeted(&fresh());
+                prop_assert_eq!(&k, &g.minimum_size_in(None, None, &fresh()));
+                let k = k.into_value();
+                prop_assert_eq!(
+                    g.minimum_hitting_sets_at(k, &fresh()),
+                    g.minimum_sets_at_in(None, k, &fresh())
+                );
+                prop_assert_eq!(
+                    g.minimum_hitting_sets_budgeted(&fresh()),
+                    g.minimum_sets_at_in(None, k, &fresh())
+                );
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Complete multipartite graphs take the block path, whose families
+        /// are the complements of the classes (of the largest ones for the
+        /// minimum), equal the search's, and truncate to a prefix. Perturbed
+        /// graphs are declined unless they are down to one edge.
+        #[test]
+        fn block_families_match_the_search(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut pool: Vec<Tid> = (0..400).map(Tid).collect();
+            shuffle(&mut rng, &mut pool);
+            let mut labels = pool.into_iter();
+            let (classes, edges) = multipartite(&mut rng, &mut labels, 6, 5);
+            let isolated: Vec<Tid> = labels.by_ref().take(rng.gen_range(0..4)).collect();
+            let mut nodes: BTreeSet<Tid> = classes.iter().flatten().copied().collect();
+            let covered = nodes.len();
+            nodes.extend(&isolated);
+            let g = graph(&mut rng, nodes.clone(), edges.clone());
+            prop_assert!(g.is_block_shaped());
+            entries_match_the_search(&g)?;
+
+            let complement = |class: &Vec<Tid>| -> BTreeSet<Tid> {
+                classes.iter().flatten().filter(|t| !class.contains(t)).copied().collect()
+            };
+            let mut family: Vec<BTreeSet<Tid>> = classes.iter().map(complement).collect();
+            family.sort();
+            let largest = classes.iter().map(Vec::len).max().unwrap_or(0);
+            let mut minimum: Vec<BTreeSet<Tid>> = classes
+                .iter()
+                .filter(|c| c.len() == largest)
+                .map(complement)
+                .collect();
+            minimum.sort();
+            prop_assert_eq!(g.minimal_hitting_sets(None), family.clone());
+            prop_assert_eq!(g.minimum_hitting_set_size(), covered - largest);
+            prop_assert_eq!(g.minimum_hitting_sets(), minimum.clone());
+
+            // A step budget keeps a prefix: one step per set, plus one for
+            // the size proof of the minimum family.
+            for n in 1..=family.len() + 1 {
+                let out = g.minimal_hitting_sets_budgeted(None, &Budget::steps(n as u64));
+                prop_assert_eq!(out.is_truncated(), n < family.len());
+                prop_assert_eq!(out.value().as_slice(), &family[..n.min(family.len())]);
+                let out = g.minimum_hitting_sets_budgeted(&Budget::steps(n as u64));
+                prop_assert_eq!(out.is_truncated(), n <= minimum.len());
+                prop_assert_eq!(out.value().as_slice(), &minimum[..(n - 1).min(minimum.len())]);
+            }
+
+            // Perturbations, each fed through `new` in random order.
+            let mut perturbed: Vec<ConflictHypergraph> = Vec::new();
+            // One cross-class edge dropped, at a tuple of a class of two or
+            // more that keeps another neighbour, so it stays covered.
+            let wide = classes
+                .iter()
+                .position(|c| c.len() >= 2 && covered - c.len() >= 2);
+            if let Some(i) = wide {
+                let a = classes[i][0];
+                let b = classes[(i + 1) % classes.len()][0];
+                let dropped = tids(&[a.0, b.0]);
+                let kept: Vec<BTreeSet<Tid>> =
+                    edges.iter().filter(|e| **e != dropped).cloned().collect();
+                perturbed.push(graph(&mut rng, nodes.clone(), kept));
+            }
+            // A three-tuple edge of a class member and two fresh tuples:
+            // no two-tuple edge lies inside it, so it is kept.
+            let fresh: Vec<Tid> = labels.by_ref().take(2).collect();
+            let member = classes[rng.gen_range(0..classes.len())][0];
+            let mut with_triple = edges.clone();
+            with_triple.push(tids(&[member.0, fresh[0].0, fresh[1].0]));
+            let mut wider = nodes.clone();
+            wider.extend(&fresh);
+            perturbed.push(graph(&mut rng, wider, with_triple));
+            // A singleton edge on a class member (it dominates that
+            // member's two-tuple edges).
+            let mut with_singleton = edges.clone();
+            with_singleton.push(tids(&[member.0]));
+            perturbed.push(graph(&mut rng, nodes.clone(), with_singleton));
+            // Two multipartite graphs joined by one edge (the second one
+            // small, so that the joined family stays cheap to search).
+            let (other, other_edges) = multipartite(&mut rng, &mut labels, 3, 2);
+            let mut joined = edges.clone();
+            joined.extend(other_edges);
+            joined.push(tids(&[member.0, other[0][0].0]));
+            let mut both = nodes.clone();
+            both.extend(other.iter().flatten());
+            perturbed.push(graph(&mut rng, both, joined));
+            for p in &perturbed {
+                prop_assert_eq!(p.is_block_shaped(), p.edge_count() == 1);
+                entries_match_the_search(p)?;
+            }
+        }
+
+        /// A graph of one edge of 1–4 tuples yields the edge's singletons.
+        #[test]
+        fn single_edge_yields_its_singletons(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let edge: BTreeSet<Tid> = (0..rng.gen_range(1..5))
+                .map(|_| Tid(rng.gen_range(0..50)))
+                .collect();
+            let mut nodes = edge.clone();
+            nodes.insert(Tid(50));
+            let g = ConflictHypergraph::new(nodes, vec![edge.clone()]);
+            prop_assert!(g.is_block_shaped());
+            let singletons: Vec<BTreeSet<Tid>> = edge.iter().map(|&t| BTreeSet::from([t])).collect();
+            prop_assert_eq!(g.minimal_hitting_sets(None), singletons.clone());
+            prop_assert_eq!(g.minimum_hitting_set_size(), 1);
+            prop_assert_eq!(g.minimum_hitting_sets(), singletons);
+            entries_match_the_search(&g)?;
+        }
     }
 
     #[test]

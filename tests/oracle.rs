@@ -8,6 +8,11 @@
 //! aggregate-range answers then follow from their definitions, and the
 //! library's CQA entry points, the planner and a `CqaSession` after each
 //! write of a random write sequence are compared with them by content.
+//!
+//! The cases reach both routes a component's repair family takes: key
+//! groups are block-shaped and read off their classes, while the `R(x, y),
+//! S(y)` denial joins key groups into paths such as s₁–r₁–r₂–s₂ that the
+//! hitting-set search answers. The library test counts both kinds.
 
 use cqa_constraints::{ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
@@ -264,11 +269,24 @@ fn contents(repairs: Vec<cqa_core::Repair>) -> BTreeSet<BTreeSet<Fact>> {
 #[test]
 fn library_routes_match_the_definitions() {
     let unlimited = Budget::unlimited;
+    let (mut blocks, mut searched) = (0, 0);
     for seed in 0..CASES {
         let (facts, sigma) = case(seed);
         let db = instance(&facts);
         let oracle = Oracle::new(&db, &sigma);
         let ctx = format!("case {seed}: {facts:?} under {sigma:?}");
+        for c in &sigma
+            .conflict_hypergraph(&db)
+            .unwrap()
+            .components()
+            .components
+        {
+            if c.graph().is_block_shaped() {
+                blocks += 1;
+            } else {
+                searched += 1;
+            }
+        }
         assert_eq!(
             contents(s_repairs(&db, &sigma).unwrap()),
             oracle.s_repairs.iter().cloned().collect(),
@@ -322,6 +340,10 @@ fn library_routes_match_the_definitions() {
             }
         }
     }
+    assert!(
+        blocks > 0 && searched > 0,
+        "the cases reach {blocks} block-shaped and {searched} searched components"
+    );
 }
 
 #[test]

@@ -218,17 +218,20 @@ proptest! {
 
 /// Deterministic truncation pin: a step budget that latches mid-repair
 /// enumeration truncates at the same point over the wire as in-process.
+/// The key group `T(0, _)` is a single-edge component whose two repairs
+/// cost one step each (after one step for the size proof under
+/// cardinality), so both budgets cut after the first repair.
 #[test]
 fn step_truncation_is_byte_identical_over_the_wire() {
     let ops = vec![vec![
         Op::Repairs {
             cardinality: false,
-            steps: 2,
+            steps: 1,
         },
         Op::Certain { steps: 1 },
         Op::Repairs {
             cardinality: true,
-            steps: 3,
+            steps: 2,
         },
     ]];
     let direct = with_threads(1, || run_direct(&ops));
