@@ -4,13 +4,28 @@
 //! database, its indexes and the warm incremental conflict state — not TCP
 //! framing. The F20 harness section measures the same contrast end-to-end
 //! over loopback.
+//!
+//! `warm_session_reads` times the three class reads of a `fold_read`
+//! tenant (`key_conflict_instance(500, 10, 2, 11)` under `key T(K)`: ten
+//! key-conflict components, 2^10 S-repairs) on a warm `CqaSession` — C-repair
+//! certain answers, S-repair possible answers and an S-repair listing cut
+//! at 4 — against the one-shot library calls that rebuild violations,
+//! graph, components and families on every call. It checks first that
+//! each warm read returns the one-shot call's output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cqa_bench::key_conflict_instance;
-use cqa_exec::{AdmissionGate, CancelToken};
+use cqa_core::{
+    consistent_answers_budgeted, possible_answers_budgeted, s_repairs_budgeted, CqaSession,
+    RepairClass, RepairOptions,
+};
+use cqa_exec::{AdmissionGate, Budget, CancelToken};
+use cqa_query::{parse_query, UnionQuery};
+use cqa_relation::Tid;
 use cqa_server::{api, Json, Request, ServerConfig, ServerState, SessionStore};
-use std::sync::RwLock;
+use std::collections::BTreeSet;
+use std::sync::{Arc, RwLock};
 
 fn call(
     state: &ServerState,
@@ -99,5 +114,83 @@ fn bench_f20(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_f20);
+fn bench_warm_reads(c: &mut Criterion) {
+    let (db, sigma) = key_conflict_instance(500, 10, 2, 11);
+    let base = Arc::new(db.clone());
+    let mut session = CqaSession::new(db, sigma.clone()).expect("key Σ is denial-class");
+    let q = UnionQuery::single(parse_query("Q(x, y) :- T(x, y), x >= 475").expect("query"));
+    let (card, subset) = (RepairClass::Cardinality, RepairClass::Subset);
+    let limited = RepairOptions {
+        limit: Some(4),
+        ..RepairOptions::default()
+    };
+    let unlimited = Budget::unlimited;
+    let deleted = |repairs: Vec<cqa_core::Repair>| -> Vec<BTreeSet<Tid>> {
+        repairs.into_iter().map(|r| r.deleted).collect()
+    };
+    // Equality gates: each warm read returns the one-shot call's output.
+    assert_eq!(
+        session.certain_with_class(&q, &card, &unlimited()).unwrap(),
+        consistent_answers_budgeted(&base, &sigma, &q, &card, &unlimited()).unwrap()
+    );
+    assert_eq!(
+        session.possible(&q, &subset, &unlimited()).unwrap(),
+        possible_answers_budgeted(&base, &sigma, &q, &subset, &unlimited()).unwrap()
+    );
+    assert_eq!(
+        deleted(
+            session
+                .repairs(&subset, Some(4), &unlimited())
+                .unwrap()
+                .into_value()
+        ),
+        deleted(
+            s_repairs_budgeted(&base, &sigma, &limited, &unlimited())
+                .unwrap()
+                .into_value()
+        )
+    );
+
+    let mut group = c.benchmark_group("warm_session_reads");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("certain_card", "warm"), |b| {
+        b.iter(|| {
+            let out = session.certain_with_class(&q, &card, &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.bench_function(BenchmarkId::new("certain_card", "one_shot"), |b| {
+        b.iter(|| {
+            let out = consistent_answers_budgeted(&base, &sigma, &q, &card, &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.bench_function(BenchmarkId::new("possible", "warm"), |b| {
+        b.iter(|| {
+            let out = session.possible(&q, &subset, &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.bench_function(BenchmarkId::new("possible", "one_shot"), |b| {
+        b.iter(|| {
+            let out = possible_answers_budgeted(&base, &sigma, &q, &subset, &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.bench_function(BenchmarkId::new("repairs_limit_4", "warm"), |b| {
+        b.iter(|| {
+            let out = session.repairs(&subset, Some(4), &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.bench_function(BenchmarkId::new("repairs_limit_4", "one_shot"), |b| {
+        b.iter(|| {
+            let out = s_repairs_budgeted(&base, &sigma, &limited, &unlimited());
+            out.unwrap().into_value().len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_f20, bench_warm_reads);
 criterion_main!(benches);

@@ -27,8 +27,13 @@
 //! its classes, in the search's order, after one pass over its edges and in
 //! time linear in the family. Every component the F18 workloads produce is
 //! of this shape; other components keep the search.
-//! [`ConflictComponents::minimum_hitting_sets_factored`] reads each
-//! component's shape once for both its size proof and its family.
+//!
+//! Each component graph detects its shape once and keeps it (see
+//! [`ConflictHypergraph`]). [`ConflictComponents::apply_edge_delta`]
+//! carries every component a write does not touch over by pointer, shape
+//! included, and rebuilds the touched ones with empty caches, so a write
+//! drops exactly the shapes of the components it touched and needs no
+//! invalidation code. The families are not cached: every read emits them.
 //!
 //! Components are independent, so `cqa-exec` runs them in parallel once
 //! there is enough of them to pay for the workers ([`PAR_MIN_EDGES`]); the
@@ -37,7 +42,7 @@
 //! semantics (`FactoredRepairSet`, component-aware CQA folds) on top.
 
 // audit:exponential — component-local hitting-set enumeration; every search loop must thread a Budget.
-use crate::hypergraph::{BlockShape, ConflictHypergraph};
+use crate::hypergraph::ConflictHypergraph;
 use cqa_exec::{Budget, Outcome};
 use cqa_relation::Tid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -302,7 +307,9 @@ impl ConflictComponents {
     /// Incrementally maintain the factorization under an edge delta:
     /// rebuild **only** the components touched by a removed or added edge,
     /// carry every untouched component over verbatim, and re-derive the
-    /// frozen core against `new_nodes`.
+    /// frozen core against `new_nodes`. An untouched component is carried
+    /// by pointer, with the shape its graph has cached; a rebuilt one
+    /// starts with empty caches.
     ///
     /// `removed`/`added` must be the set difference between the old and new
     /// graph's (canonical, superset-filtered) edge sets — exactly what
@@ -504,29 +511,25 @@ impl ConflictComponents {
         &self,
         budget: &Budget,
     ) -> Outcome<(usize, FactoredFamilies)> {
-        // Each component's block shape is read once and serves both its size
-        // proof and its family.
         let proofs = self.per_component(&self.components, budget, |c| {
-            let shape = c.graph().block_shape();
-            let size = c.graph().minimum_size_in(shape.as_ref(), None, budget);
-            (shape, size)
+            c.graph().minimum_hitting_set_size_budgeted(budget)
         });
-        let total: usize = proofs.iter().map(|(_, size)| *size.value()).sum();
-        if budget.exhausted() || proofs.iter().any(|(_, size)| size.is_truncated()) {
+        let total: usize = proofs.iter().map(|size| *size.value()).sum();
+        if budget.exhausted() || proofs.iter().any(Outcome::is_truncated) {
             let fams = FactoredFamilies {
                 families: vec![Vec::new(); self.components.len()],
                 exact: vec![false; self.components.len()],
             };
             return budget.outcome_with((total, fams), 0);
         }
-        let sized: Vec<(&ComponentGraph, Option<BlockShape>, usize)> = self
+        let sized: Vec<(&ComponentGraph, usize)> = self
             .components
             .iter()
             .zip(proofs)
-            .map(|(c, (shape, size))| (c, shape, size.into_value()))
+            .map(|(c, size)| (c, size.into_value()))
             .collect();
-        let results = self.per_component(&sized, budget, |(c, shape, k)| {
-            let out = c.graph().minimum_sets_at_in(shape.as_ref(), *k, budget);
+        let results = self.per_component(&sized, budget, |(c, k)| {
+            let out = c.graph().minimum_hitting_sets_at(*k, budget);
             let exact = out.is_exact();
             (out.into_value(), exact)
         });
@@ -836,6 +839,36 @@ mod tests {
                 assert_eq!((&m, &c), (&minimal, &minimum), "threads={t}");
             }
         }
+    }
+
+    #[test]
+    fn a_delta_carries_untouched_component_graphs_by_pointer() {
+        let g = two_component_graph();
+        let before = g.components();
+        // A read detects, and keeps, each component's shape.
+        let _ = before.minimal_hitting_sets_factored(&Budget::unlimited());
+        // A new tuple 10 in conflict with 9 touches the second component.
+        let mut nodes = g.nodes.clone();
+        nodes.insert(Tid(10));
+        let next = g.apply_violation_delta(nodes, &tids(&[10]), &[tids(&[9, 10])].into());
+        let after = next.components();
+        // The first component's graph, and the shape it has cached, is
+        // shared; the touched one is rebuilt.
+        assert!(Arc::ptr_eq(
+            &before.components[0].graph,
+            &after.components[0].graph
+        ));
+        assert!(!Arc::ptr_eq(
+            &before.components[1].graph,
+            &after.components[1].graph
+        ));
+        assert_eq!(*after, ConflictComponents::compute(&next));
+        assert!(after.components[1].graph().is_block_shaped());
+        let fresh = ConflictHypergraph::new(tids(&[8, 9, 10]), [tids(&[8, 9]), tids(&[9, 10])]);
+        assert_eq!(
+            after.components[1].graph().minimal_hitting_sets(None),
+            fresh.minimal_hitting_sets(None)
+        );
     }
 
     #[test]

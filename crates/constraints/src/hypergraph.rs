@@ -26,7 +26,12 @@
 //! then read the family off the classes in the search's own (sorted) order,
 //! one tick and one item charge per emitted set and one tick for the size
 //! proof. A declined graph runs the search unchanged. DESIGN.md
-//! (*Conflict-component factorization*) has the proof.
+//! (*Conflict-component factorization*) has the proof. A graph detects its
+//! shape once, on the first read that needs it, and keeps it next to its
+//! components: a session's maintained component graphs are carried across
+//! the writes that do not touch them, so a warm read of an unchanged
+//! component emits its family without detecting again. The families
+//! themselves are not kept; each read emits them afresh.
 //!
 //! The search trees are explored in parallel through `cqa-exec`: the top
 //! levels of each tree are split into independent branch tasks on a work
@@ -135,8 +140,8 @@ fn canonical_edges(mut edges: Vec<BTreeSet<Tid>>) -> Vec<BTreeSet<Tid>> {
 /// [`ConflictHypergraph::block_shape`]. Every family it emits is in the
 /// search's canonical (sorted) order, so a budget cut leaves a prefix of the
 /// exact family.
-#[derive(Debug)]
-pub(crate) enum BlockShape {
+#[derive(Debug, Clone)]
+enum BlockShape {
     /// A graph of one edge, whose tuples these are (ascending). Its minimal
     /// and its minimum hitting sets are the edge's singletons.
     Edge(Vec<Tid>),
@@ -212,8 +217,9 @@ impl BlockShape {
 
 /// A conflict hyper-graph.
 ///
-/// Like the column-index cache on `Database` relations, the graph carries a
-/// lazily computed cache (its [`ConflictComponents`]); the cache key is the
+/// Like the column-index cache on `Database` relations, the graph carries
+/// lazily computed caches (its [`ConflictComponents`] and its block shape,
+/// see [`ConflictHypergraph::is_block_shaped`]); the cache key is the
 /// `(nodes, edges)` pair, which is fixed at construction. Mutating the
 /// public fields of an existing graph in place is outside the contract —
 /// build a fresh graph with [`ConflictHypergraph::new`] instead, exactly as
@@ -229,6 +235,9 @@ pub struct ConflictHypergraph {
     /// Cached connected components; filled on first
     /// [`components`](ConflictHypergraph::components) call.
     components: OnceLock<Arc<ConflictComponents>>,
+    /// Cached [`ConflictHypergraph::block_shape`]; filled on the first
+    /// read that needs it.
+    shape: OnceLock<Option<BlockShape>>,
 }
 
 impl std::fmt::Debug for ConflictHypergraph {
@@ -244,12 +253,13 @@ impl std::fmt::Debug for ConflictHypergraph {
 
 impl Clone for ConflictHypergraph {
     fn clone(&self) -> Self {
-        // The components are a pure function of (nodes, edges), so sharing
-        // an already-computed cache with the clone is sound and free.
+        // The caches are pure functions of (nodes, edges), so sharing the
+        // already-computed ones with the clone is sound.
         ConflictHypergraph {
             nodes: self.nodes.clone(),
             edges: self.edges.clone(),
             components: self.components.clone(),
+            shape: self.shape.clone(),
         }
     }
 }
@@ -271,7 +281,7 @@ impl ConflictHypergraph {
         ConflictHypergraph {
             nodes,
             edges: canonical_edges(raw_edges.into_iter().collect()),
-            components: OnceLock::new(),
+            ..ConflictHypergraph::default()
         }
     }
 
@@ -289,7 +299,7 @@ impl ConflictHypergraph {
         ConflictHypergraph {
             nodes,
             edges,
-            components: OnceLock::new(),
+            ..ConflictHypergraph::default()
         }
     }
 
@@ -409,7 +419,7 @@ impl ConflictHypergraph {
         let next = ConflictHypergraph {
             nodes,
             edges: next_edges,
-            components: OnceLock::new(),
+            ..ConflictHypergraph::default()
         };
         if let Some(old) = self.components.get() {
             let added_edges: BTreeSet<BTreeSet<Tid>> = accepted.into_iter().collect();
@@ -460,9 +470,14 @@ impl ConflictHypergraph {
     /// every tuple outside its class and to none inside it. A key's block
     /// of key-equal tuples, or one FD's left-hand-side group, is of this
     /// shape. The test reads the edges alone, in linear time up to one
-    /// binary search per edge endpoint.
+    /// binary search per edge endpoint, once per graph: the shape is cached.
     pub fn is_block_shaped(&self) -> bool {
-        self.block_shape().is_some()
+        self.shape().is_some()
+    }
+
+    /// The cached [`Self::block_shape`], detected on the first call.
+    fn shape(&self) -> Option<&BlockShape> {
+        self.shape.get_or_init(|| self.block_shape()).as_ref()
     }
 
     /// The classes behind [`Self::is_block_shaped`], or `None` when the
@@ -474,7 +489,7 @@ impl ConflictHypergraph {
     /// tuples it visits: those it places plus at most its degree. The
     /// graph is then accepted iff no edge lies inside a class and the edge
     /// count is the number of cross-class pairs, `(n² − Σ|Cᵢ|²) / 2`.
-    pub(crate) fn block_shape(&self) -> Option<BlockShape> {
+    fn block_shape(&self) -> Option<BlockShape> {
         if let [edge] = self.edges.as_slice() {
             return (!edge.is_empty()).then(|| BlockShape::Edge(edge.iter().copied().collect()));
         }
@@ -586,7 +601,7 @@ impl ConflictHypergraph {
         budget: &Budget,
     ) -> Outcome<Vec<BTreeSet<Tid>>> {
         if limit.is_none() {
-            if let Some(shape) = self.block_shape() {
+            if let Some(shape) = self.shape() {
                 return shape.family(false, budget);
             }
         }
@@ -804,13 +819,12 @@ impl ConflictHypergraph {
         upper: Option<usize>,
         budget: &Budget,
     ) -> Outcome<usize> {
-        self.minimum_size_in(self.block_shape().as_ref(), upper, budget)
+        self.minimum_size_in(self.shape(), upper, budget)
     }
 
-    /// [`Self::minimum_hitting_set_size_seeded`] for a graph whose
-    /// [`Self::block_shape`] the caller has already read, so that a size
-    /// proof followed by [`Self::minimum_sets_at_in`] detects once.
-    pub(crate) fn minimum_size_in(
+    /// The size proof behind [`Self::minimum_hitting_set_size_seeded`], for
+    /// a graph of block shape `shape` (`None` searches).
+    fn minimum_size_in(
         &self,
         shape: Option<&BlockShape>,
         upper: Option<usize>,
@@ -1009,12 +1023,11 @@ impl ConflictHypergraph {
     /// itself, the minimum is unknown and the result is an empty truncated
     /// list (never a list of wrong-sized sets).
     pub fn minimum_hitting_sets_budgeted(&self, budget: &Budget) -> Outcome<Vec<BTreeSet<Tid>>> {
-        let shape = self.block_shape();
-        let size = self.minimum_size_in(shape.as_ref(), None, budget);
+        let size = self.minimum_hitting_set_size_budgeted(budget);
         if budget.exhausted() {
             return budget.outcome_with(Vec::new(), 0);
         }
-        self.minimum_sets_at_in(shape.as_ref(), size.into_value(), budget)
+        self.minimum_hitting_sets_at(size.into_value(), budget)
     }
 
     /// Enumerate all hitting sets of the **known** minimum size `k`,
@@ -1034,12 +1047,12 @@ impl ConflictHypergraph {
         k: usize,
         budget: &Budget,
     ) -> Outcome<Vec<BTreeSet<Tid>>> {
-        self.minimum_sets_at_in(self.block_shape().as_ref(), k, budget)
+        self.minimum_sets_at_in(self.shape(), k, budget)
     }
 
-    /// [`Self::minimum_hitting_sets_at`] for a graph whose
-    /// [`Self::block_shape`] the caller has already read.
-    pub(crate) fn minimum_sets_at_in(
+    /// The enumeration behind [`Self::minimum_hitting_sets_at`], for a
+    /// graph of block shape `shape` (`None` searches).
+    fn minimum_sets_at_in(
         &self,
         shape: Option<&BlockShape>,
         k: usize,
@@ -1411,6 +1424,19 @@ mod tests {
         let fresh = figure_1();
         assert_eq!(g, fresh);
         assert_eq!(format!("{g:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn block_shape_is_detected_once_and_shared_by_clones() {
+        let pair = ConflictHypergraph::new(tids(&[1, 2, 3]), [tids(&[1, 2])]);
+        assert!(pair.shape.get().is_none());
+        assert!(pair.is_block_shaped());
+        assert!(matches!(pair.shape.get(), Some(Some(BlockShape::Edge(_)))));
+        assert!(pair.clone().shape.get().is_some());
+        // A declined graph caches its `None`.
+        let g = figure_1();
+        assert!(!g.is_block_shaped());
+        assert!(matches!(g.shape.get(), Some(None)));
     }
 
     #[test]

@@ -49,6 +49,35 @@ pub enum RepairClass {
     AttributeNull,
 }
 
+/// The instance a CQA route reads. The `&Database` entry points lend it,
+/// and the monolithic fold copies it into the base its delta repairs share;
+/// a session lends the `Arc` it holds, which the repairs share as it is.
+#[derive(Clone, Copy)]
+pub(crate) enum Base<'a> {
+    /// A borrowed instance, copied when delta repairs need a shared base.
+    Borrowed(&'a Database),
+    /// An instance already behind an `Arc`.
+    Shared(&'a Arc<Database>),
+}
+
+impl<'a> Base<'a> {
+    /// The instance.
+    pub(crate) fn db(self) -> &'a Database {
+        match self {
+            Base::Borrowed(db) => db,
+            Base::Shared(db) => db,
+        }
+    }
+
+    /// The base delta repairs share: the lent `Arc`, or a copy.
+    fn shared(self) -> Arc<Database> {
+        match self {
+            Base::Borrowed(db) => Arc::new(db.clone()),
+            Base::Shared(db) => Arc::clone(db),
+        }
+    }
+}
+
 /// The chosen repair class, kept as copy-on-write deltas when the semantics
 /// allows it. Attribute-null repairs mutate cell values in place, so they
 /// have no delta representation and stay materialized.
@@ -310,7 +339,7 @@ pub fn repairs_of(
     sigma: &ConstraintSet,
     class: &RepairClass,
 ) -> Result<Vec<Database>, RelationError> {
-    let set = repair_set_budgeted(db, sigma, class, None, &Budget::unlimited())?;
+    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &Budget::unlimited())?;
     Ok(match set.into_value() {
         RepairSet::Delta(reps) => reps.into_iter().map(Repair::into_db).collect(),
         RepairSet::Materialized(dbs) => dbs,
@@ -344,7 +373,8 @@ pub fn consistent_answers(
     class: &RepairClass,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
-    Ok(monolithic(db, sigma, query, class, Side::Certain, None, &unlimited)?.into_value())
+    let base = Base::Borrowed(db);
+    Ok(monolithic(base, sigma, query, class, Side::Certain, None, &unlimited)?.into_value())
 }
 
 /// Certain answers over an explicit list of instances or repair views (used
@@ -366,7 +396,8 @@ pub fn possible_answers(
     class: &RepairClass,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
-    Ok(monolithic(db, sigma, query, class, Side::Possible, None, &unlimited)?.into_value())
+    let base = Base::Borrowed(db);
+    Ok(monolithic(base, sigma, query, class, Side::Possible, None, &unlimited)?.into_value())
 }
 
 /// Possible (brave) answers over an explicit list of instances or views.
@@ -386,7 +417,7 @@ pub fn certainly_true(
     class: &RepairClass,
 ) -> Result<bool, RelationError> {
     let unlimited = Budget::unlimited();
-    let set = repair_set_budgeted(db, sigma, class, None, &unlimited)?.into_value();
+    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &unlimited)?.into_value();
     let fold = set.fold(CertainlyTrue { query, all: true }, &unlimited);
     Ok(fold.is_none_or(|f| f.all))
 }
@@ -422,7 +453,7 @@ pub fn consistent_aggregate_ranges(
     class: &RepairClass,
 ) -> Result<BTreeMap<Tuple, (Value, Value)>, RelationError> {
     let unlimited = Budget::unlimited();
-    let set = repair_set_budgeted(db, sigma, class, None, &unlimited)?.into_value();
+    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &unlimited)?.into_value();
     let fold = set.fold(Ranges { query, acc: None }, &unlimited);
     Ok(fold.and_then(|f| f.acc).unwrap_or_default())
 }
@@ -512,27 +543,27 @@ fn possible_fallback(
 }
 
 /// Enumerate the chosen repair class under a budget, from `graph` (the
-/// conflict hyper-graph of `db`) when the caller has one. The
+/// conflict hyper-graph of the instance) when the caller has one. The
 /// attribute-null class is not yet metered during enumeration (its repair
 /// space is tamed by per-cell minimality rather than search); the
 /// query-evaluation fold on top of it still honours deadlines.
 fn repair_set_budgeted(
-    db: &Database,
+    base: Base<'_>,
     sigma: &ConstraintSet,
     class: &RepairClass,
     graph: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<Outcome<RepairSet>, RelationError> {
     if let RepairClass::AttributeNull = class {
-        let dbs: Vec<Database> = attribute_repairs(db, sigma)?
+        let dbs: Vec<Database> = attribute_repairs(base.db(), sigma)?
             .into_iter()
             .map(|r| r.db)
             .collect();
         let n = dbs.len() as u64;
         return Ok(budget.outcome_with(RepairSet::Materialized(dbs), n));
     }
-    // Delta repairs share one copy of the instance as their base.
-    let base = Arc::new(db.clone());
+    // Delta repairs share one `Arc` of the instance as their base.
+    let base = base.shared();
     let options = match class {
         RepairClass::SubsetDeletionsOnly => RepairOptions::deletions_only(),
         _ => RepairOptions::default(),
@@ -553,7 +584,7 @@ fn repair_set_budgeted(
 /// `explored` counts the enumerated repairs; the certain side reports the
 /// enumeration's own count instead when the enumeration itself was cut.
 fn monolithic(
-    db: &Database,
+    base: Base<'_>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
@@ -561,7 +592,8 @@ fn monolithic(
     graph: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let set = repair_set_budgeted(db, sigma, class, graph, budget)?;
+    let db = base.db();
+    let set = repair_set_budgeted(base, sigma, class, graph, budget)?;
     let enumerated = set.truncation().map(|(_, n)| n);
     let set = set.into_value();
     // An exhausted budget stops the fold before its first repair.
@@ -925,15 +957,15 @@ pub fn possible_answers_factored_budgeted(
 pub(crate) type RoutedAnswers = Outcome<(BTreeSet<Tuple>, Option<Factorization>)>;
 
 /// The budgeted certain/possible route shared by
-/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`] and the
-/// planner's fallback. When the factorization applies ([`factorable`]) and
-/// the conflict hyper-graph has at least two components, the factored fold
-/// answers and its [`Factorization`] comes back; otherwise the monolithic
-/// fold over the enumerated repair class does. `prebuilt`, when given, is
-/// the conflict hyper-graph of `db`; either way the graph is built at most
-/// once per request.
+/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`], the
+/// planner's fallback and a session's class reads. When the factorization
+/// applies ([`factorable`]) and the conflict hyper-graph has at least two
+/// components, the factored fold answers and its [`Factorization`] comes
+/// back; otherwise the monolithic fold over the enumerated repair class
+/// does. `prebuilt`, when given, is the conflict hyper-graph of the
+/// instance; either way the graph is built at most once per request.
 pub(crate) fn answers_budgeted(
-    db: &Database,
+    base: Base<'_>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
@@ -941,6 +973,7 @@ pub(crate) fn answers_budgeted(
     prebuilt: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<RoutedAnswers, RelationError> {
+    let db = base.db();
     let owned;
     let graph = match prebuilt {
         _ if !factorable(sigma, class) => None,
@@ -954,7 +987,7 @@ pub(crate) fn answers_budgeted(
         let out = factored_with(db, g, query, class, side, budget);
         return Ok(out.map(|(answers, shape)| (answers, Some(shape))));
     }
-    let answers = monolithic(db, sigma, query, class, side, graph, budget)?;
+    let answers = monolithic(base, sigma, query, class, side, graph, budget)?;
     Ok(answers.map(|answers| (answers, None)))
 }
 
@@ -974,7 +1007,8 @@ pub fn consistent_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let out = answers_budgeted(db, sigma, query, class, Side::Certain, None, budget)?;
+    let base = Base::Borrowed(db);
+    let out = answers_budgeted(base, sigma, query, class, Side::Certain, None, budget)?;
     Ok(out.map(|(answers, _)| answers))
 }
 
@@ -992,7 +1026,8 @@ pub fn possible_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let out = answers_budgeted(db, sigma, query, class, Side::Possible, None, budget)?;
+    let base = Base::Borrowed(db);
+    let out = answers_budgeted(base, sigma, query, class, Side::Possible, None, budget)?;
     Ok(out.map(|(answers, _)| answers))
 }
 

@@ -11,7 +11,7 @@
 //! The chosen strategy is reported so callers can log/inspect it, mirroring
 //! how ConsEx surfaced its magic-set rewriting decisions.
 
-use crate::cqa::{answers_budgeted, RepairClass, Side};
+use crate::cqa::{answers_budgeted, Base, RepairClass, Side};
 use crate::delta::IncrementalState;
 use crate::factored::Factorization;
 use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
@@ -127,7 +127,8 @@ pub fn answer_consistently_budgeted(
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
     let diagnostics = plan_diagnostics(db, sigma, query);
     let consistent = sigma.is_satisfied(db)?;
-    plan_with(db, sigma, query, budget, consistent, None, diagnostics)
+    let base = Base::Borrowed(db);
+    plan_with(base, sigma, query, budget, consistent, None, diagnostics)
 }
 
 /// [`answer_consistently_budgeted`] against a delta-maintained
@@ -144,6 +145,19 @@ pub fn answer_consistently_incremental(
     state: &mut IncrementalState,
     budget: &Budget,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    incremental_with(Base::Borrowed(db), sigma, query, state, budget)
+}
+
+/// [`answer_consistently_incremental`] over a lent instance: a session lends
+/// its `Arc`, which a monolithic fold's repairs then share without a copy.
+pub(crate) fn incremental_with(
+    base: Base<'_>,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    state: &mut IncrementalState,
+    budget: &Budget,
+) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    let db = base.db();
     let decision = state.refresh_budgeted(db, sigma, budget)?.clone();
     let mut diagnostics = plan_diagnostics(db, sigma, query);
     diagnostics.push(incremental_diagnostic(&decision));
@@ -151,7 +165,7 @@ pub fn answer_consistently_incremental(
     // instance is consistent exactly when the maintained graph is edgeless.
     let consistent = state.is_consistent();
     plan_with(
-        db,
+        base,
         sigma,
         query,
         budget,
@@ -165,7 +179,7 @@ pub fn answer_consistently_incremental(
 /// consistency verdict and, optionally, a prebuilt conflict hyper-graph for
 /// the repair fallback (the incremental path supplies its maintained one).
 fn plan_with(
-    db: &Database,
+    base: Base<'_>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     budget: &Budget,
@@ -173,6 +187,7 @@ fn plan_with(
     prebuilt: Option<&ConflictHypergraph>,
     diagnostics: Vec<Diagnostic>,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    let db = base.db();
     // Consistent instance: certain answers are the plain answers.
     if consistent {
         return Ok(Outcome::Exact(PlannedAnswer {
@@ -195,7 +210,7 @@ fn plan_with(
                             "relation {relation} holds SQL nulls: the FO rewriting is exact \
                              only on null-free relations"
                         );
-                        return fallback(db, sigma, query, reason, diagnostics, budget, prebuilt);
+                        return fallback(base, sigma, query, reason, diagnostics, budget, prebuilt);
                     }
                     return Ok(Outcome::Exact(PlannedAnswer {
                         answers: eval_fo(db, &fo, NullSemantics::Structural),
@@ -208,11 +223,11 @@ fn plan_with(
                         "attack graph cyclic at atoms {} and {}: CQA is coNP-complete",
                         witness.0, witness.1
                     );
-                    return fallback(db, sigma, query, reason, diagnostics, budget, prebuilt);
+                    return fallback(base, sigma, query, reason, diagnostics, budget, prebuilt);
                 }
                 Err(e) => {
                     return fallback(
-                        db,
+                        base,
                         sigma,
                         query,
                         e.to_string(),
@@ -224,7 +239,7 @@ fn plan_with(
             }
         }
         return fallback(
-            db,
+            base,
             sigma,
             query,
             "query is a union, not a single CQ".into(),
@@ -247,12 +262,12 @@ fn plan_with(
     {
         reason.push_str("; Σ contains redundant constraints (C001/C003)");
     }
-    fallback(db, sigma, query, reason, diagnostics, budget, prebuilt)
+    fallback(base, sigma, query, reason, diagnostics, budget, prebuilt)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn fallback(
-    db: &Database,
+    base: Base<'_>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     reason: String,
@@ -270,7 +285,7 @@ fn fallback(
     // instances keep the monolithic path — the factorization would be the
     // identity.
     let out = answers_budgeted(
-        db,
+        base,
         sigma,
         query,
         &RepairClass::Subset,

@@ -6,12 +6,25 @@
 //! artifacts — the delta-maintained [`IncrementalState`] (violations,
 //! conflict hyper-graph, primed component factorization and frozen core)
 //! and, inside the database itself, the shared base-index cache. Mutations
-//! go through the PR 8 change-log pipeline and bring the state up to date
-//! **incrementally**; queries then plan against the maintained hyper-graph
-//! instead of rebuilding it. The facade is deliberately thin: every answer
-//! it produces is byte-identical to the corresponding one-shot library
-//! call on the same instance (`tests/server_equivalence.rs` pins this
-//! through the wire, `tests/incremental_equivalence.rs` pins the state).
+//! go through the change-log pipeline and bring the state up to date
+//! **incrementally**. Every read — [`certain`](CqaSession::certain),
+//! [`certain_with_class`](CqaSession::certain_with_class),
+//! [`possible`](CqaSession::possible) and [`repairs`](CqaSession::repairs)
+//! — then refreshes the state and reads the maintained hyper-graph instead
+//! of rebuilding violations, graph and components, and its delta repairs
+//! share the session's own `Arc` of the instance instead of a copy. The
+//! facade is deliberately thin: every answer it produces is byte-identical
+//! to the corresponding one-shot library call on the same instance
+//! (`tests/server_equivalence.rs` pins this through the wire,
+//! `tests/incremental_equivalence.rs` pins the state).
+//!
+//! The maintained graph's components keep the block shape the first read
+//! detects (see `ConflictHypergraph` in `cqa-constraints`), so a warm read
+//! emits the families of every component no write has touched since the
+//! last read without detecting again. A write rebuilds the components it
+//! touches, with empty caches, and carries the others over by pointer;
+//! nothing is filled when the session is built. The families themselves
+//! are not kept: every read emits them.
 //!
 //! # Budget discipline
 //!
@@ -19,18 +32,18 @@
 //! budget (a latch falls back to an exact full recompute — never truncated
 //! state). Query-time refresh runs unbudgeted — it is incremental and
 //! cheap by construction — so a query request's budget meters exactly the
-//! same work it would meter on the one-shot path: truncation outcomes are
-//! identical between a warm session and a cold `answer_consistently_budgeted`
-//! call under the same logical budget.
+//! same work it would meter on the one-shot path. The cached shape costs
+//! no budget either way — detecting it never ticked — so truncation
+//! outcomes (value, reason and `explored`) are identical between a warm
+//! session and the one-shot call under the same logical budget.
 
-use crate::cqa::{consistent_answers_budgeted, possible_answers_budgeted, RepairClass};
+use crate::cqa::{answers_budgeted, Base, RepairClass, Side};
+use crate::crepair::{c_repairs_budgeted, denial_class_c_repairs};
 use crate::delta::{IncrementalState, MaintenanceDecision};
-use crate::planner::{
-    answer_consistently_budgeted, answer_consistently_incremental, PlannedAnswer,
-};
+use crate::planner::{answer_consistently_budgeted, incremental_with, PlannedAnswer};
 use crate::repair::Repair;
-use crate::srepair::RepairOptions;
-use cqa_constraints::ConstraintSet;
+use crate::srepair::{denial_class_s_repairs, s_repairs_budgeted, RepairOptions};
+use cqa_constraints::{ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
 use cqa_query::UnionQuery;
 use cqa_relation::{Database, RelationError, Tid, Tuple, Value};
@@ -164,6 +177,21 @@ impl CqaSession {
         }
     }
 
+    /// Bring the maintained state up to the instance's epoch before a
+    /// read, unbudgeted (see the module docs), so that the request budget
+    /// meters exactly the read's own work.
+    fn refresh(&mut self) -> Result<(), RelationError> {
+        if let Some(state) = &mut self.state {
+            state.refresh(&self.db, &self.sigma)?;
+        }
+        Ok(())
+    }
+
+    /// The maintained conflict hyper-graph; `None` when Σ has tgds.
+    fn graph(&self) -> Option<&ConflictHypergraph> {
+        self.state.as_ref().map(IncrementalState::graph)
+    }
+
     /// Certain answers under the planner (subset repairs), against the warm
     /// maintained hyper-graph when available. Byte-identical to
     /// [`answer_consistently_budgeted`] on the same instance and budget.
@@ -172,64 +200,86 @@ impl CqaSession {
         query: &UnionQuery,
         budget: &Budget,
     ) -> Result<Outcome<PlannedAnswer>, RelationError> {
+        self.refresh()?;
+        let base = Base::Shared(&self.db);
         match &mut self.state {
-            Some(state) => {
-                // Query-time refresh is unbudgeted (see module docs), so the
-                // request budget meters exactly the planning work.
-                state.refresh(&self.db, &self.sigma)?;
-                answer_consistently_incremental(&self.db, &self.sigma, query, state, budget)
-            }
+            Some(state) => incremental_with(base, &self.sigma, query, state, budget),
             None => answer_consistently_budgeted(&self.db, &self.sigma, query, budget),
         }
     }
 
     /// Certain answers over an explicit repair class (the non-planned
-    /// reference semantics).
+    /// reference semantics), against the warm maintained hyper-graph when
+    /// available. Byte-identical to
+    /// [`consistent_answers_budgeted`](crate::consistent_answers_budgeted)
+    /// on the same instance and budget.
     pub fn certain_with_class(
-        &self,
+        &mut self,
         query: &UnionQuery,
         class: &RepairClass,
         budget: &Budget,
     ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-        consistent_answers_budgeted(&self.db, &self.sigma, query, class, budget)
+        self.answers(query, class, Side::Certain, budget)
     }
 
-    /// Possible answers over a repair class.
+    /// Possible answers over a repair class, against the warm maintained
+    /// hyper-graph when available. Byte-identical to
+    /// [`possible_answers_budgeted`](crate::possible_answers_budgeted) on
+    /// the same instance and budget.
     pub fn possible(
-        &self,
+        &mut self,
         query: &UnionQuery,
         class: &RepairClass,
         budget: &Budget,
     ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-        possible_answers_budgeted(&self.db, &self.sigma, query, class, budget)
+        self.answers(query, class, Side::Possible, budget)
     }
 
-    /// Enumerate delta repairs of the session's instance. Subset and
-    /// cardinality classes share the session's `Arc`ed base — zero instance
-    /// clones. [`RepairClass::AttributeNull`] has no delta representation;
+    /// One side of CQA over `class`, routed as the one-shot entries route
+    /// it, from the maintained graph.
+    fn answers(
+        &mut self,
+        query: &UnionQuery,
+        class: &RepairClass,
+        side: Side,
+        budget: &Budget,
+    ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
+        self.refresh()?;
+        let base = Base::Shared(&self.db);
+        let out = answers_budgeted(base, &self.sigma, query, class, side, self.graph(), budget)?;
+        Ok(out.map(|(answers, _)| answers))
+    }
+
+    /// Enumerate delta repairs of the session's instance, from the warm
+    /// maintained hyper-graph when available. Subset and cardinality
+    /// classes share the session's `Arc`ed base — zero instance clones.
+    /// Byte-identical to [`s_repairs_budgeted`] and [`c_repairs_budgeted`]
+    /// on the same instance and budget; the cardinality class ignores
+    /// `limit`. [`RepairClass::AttributeNull`] has no delta representation;
     /// callers route it to [`attribute_repairs`](CqaSession::attribute_repairs)
     /// instead (passing it here behaves as [`RepairClass::Subset`]).
     pub fn repairs(
-        &self,
+        &mut self,
         class: &RepairClass,
         limit: Option<usize>,
         budget: &Budget,
     ) -> Result<Outcome<Vec<Repair>>, RelationError> {
-        match class {
-            RepairClass::Cardinality => crate::crepair::c_repairs_budgeted(
-                &self.db,
-                &self.sigma,
-                &RepairOptions::default(),
-                budget,
-            ),
-            _ => {
-                let options = RepairOptions {
-                    limit,
-                    allow_insertions: !matches!(class, RepairClass::SubsetDeletionsOnly),
-                    ..Default::default()
-                };
-                crate::srepair::s_repairs_budgeted(&self.db, &self.sigma, &options, budget)
+        self.refresh()?;
+        let cardinality = matches!(class, RepairClass::Cardinality);
+        let options = if cardinality {
+            RepairOptions::default()
+        } else {
+            RepairOptions {
+                limit,
+                allow_insertions: !matches!(class, RepairClass::SubsetDeletionsOnly),
+                ..Default::default()
             }
+        };
+        match (self.graph(), cardinality) {
+            (Some(g), true) => denial_class_c_repairs(&self.db, g, &options, budget),
+            (Some(g), false) => denial_class_s_repairs(&self.db, g, &options, budget),
+            (None, true) => c_repairs_budgeted(&self.db, &self.sigma, &options, budget),
+            (None, false) => s_repairs_budgeted(&self.db, &self.sigma, &options, budget),
         }
     }
 
@@ -250,6 +300,7 @@ impl CqaSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cqa::{consistent_answers_budgeted, possible_answers_budgeted};
     use cqa_constraints::KeyConstraint;
     use cqa_query::parse_query;
     use cqa_relation::{tuple, RelationSchema};
@@ -308,33 +359,125 @@ mod tests {
         assert_eq!(before, Arc::as_ptr(&session.db));
     }
 
+    /// The deleted tids of each repair, in order.
+    fn deletions(out: Outcome<Vec<Repair>>) -> Outcome<Vec<BTreeSet<Tid>>> {
+        out.map(|repairs| repairs.into_iter().map(|r| r.deleted).collect())
+    }
+
     #[test]
     fn query_budget_trajectory_matches_one_shot() {
-        // Same step budget, warm vs cold: identical truncation outcome and
-        // identical (sound) answers — the facade must not consume budget
-        // before planning.
+        // Same budget, warm vs cold: identical truncation outcome — value,
+        // reason and `explored` — for every read. The facade must not
+        // consume budget before planning, and what an unlimited read leaves
+        // on the maintained graph must not move a capped or born-exhausted
+        // read's cut. Three pair components take the
+        // factored routes; one group of three takes the monolithic ones.
+        let dc = "dc T(x, y), T(x, z), y != z\n";
+        for db in [
+            "@relation T(K, V)\n1, 1\n1, 2\n2, 1\n2, 2\n3, 1\n3, 2\n",
+            "@relation T(K, V)\n1, 1\n1, 2\n1, 3\n2, 1\n",
+        ] {
+            let mut session = CqaSession::from_text(db, dc).unwrap();
+            let q = UnionQuery::single(parse_query("Q(x) :- T(x, y)").unwrap());
+            let q2 = UnionQuery::single(parse_query("Q(x, y) :- T(x, y)").unwrap());
+            let (subset, card) = (RepairClass::Subset, RepairClass::Cardinality);
+            let limited = RepairOptions {
+                limit: Some(2),
+                ..RepairOptions::default()
+            };
+            let unlimited = Budget::unlimited();
+            session.certain(&q, &unlimited).unwrap();
+            session.certain_with_class(&q2, &card, &unlimited).unwrap();
+            session.possible(&q2, &subset, &unlimited).unwrap();
+            session.repairs(&subset, None, &unlimited).unwrap();
+            session.repairs(&card, None, &unlimited).unwrap();
+            // Step budgets, then a born-exhausted deadline (`None`).
+            for steps in [Some(1u64), Some(5), Some(50), Some(5000), None] {
+                let budget = || steps.map_or_else(|| Budget::deadline_ms(0), Budget::steps);
+                let ctx = format!("steps {steps:?} over {db:?}");
+                let warm = session.certain(&q, &budget()).unwrap();
+                let cold =
+                    answer_consistently_budgeted(session.db(), session.sigma(), &q, &budget())
+                        .unwrap();
+                assert_eq!(warm.truncation(), cold.truncation(), "certain, {ctx}");
+                assert_eq!(warm.value().answers, cold.value().answers, "certain, {ctx}");
+
+                let warm = session.certain_with_class(&q2, &card, &budget()).unwrap();
+                let (db, sigma) = (session.db(), session.sigma());
+                let cold = consistent_answers_budgeted(db, sigma, &q2, &card, &budget());
+                assert_eq!(warm, cold.unwrap(), "certain_with_class, {ctx}");
+
+                let warm = session.possible(&q2, &subset, &budget()).unwrap();
+                let (db, sigma) = (session.db(), session.sigma());
+                let cold = possible_answers_budgeted(db, sigma, &q2, &subset, &budget());
+                assert_eq!(warm, cold.unwrap(), "possible, {ctx}");
+
+                let base = Arc::clone(&session.db);
+                let sigma = session.sigma().clone();
+                let reads = [
+                    (subset.clone(), Some(2), &limited),
+                    (subset.clone(), None, &RepairOptions::default()),
+                    (card.clone(), None, &RepairOptions::default()),
+                ];
+                for (class, limit, options) in reads {
+                    let warm = session.repairs(&class, limit, &budget()).unwrap();
+                    let cold = match class {
+                        RepairClass::Cardinality => {
+                            c_repairs_budgeted(&base, &sigma, options, &budget())
+                        }
+                        _ => s_repairs_budgeted(&base, &sigma, options, &budget()),
+                    };
+                    assert_eq!(
+                        deletions(warm),
+                        deletions(cold.unwrap()),
+                        "repairs {class:?} limit {limit:?}, {ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_reads_share_component_graphs_and_a_write_replaces_only_its_own() {
+        // Three key groups of two: components {1, 2}, {3, 4} and {5, 6}.
         let mut session = CqaSession::from_text(
             "@relation T(K, V)\n1, 1\n1, 2\n2, 1\n2, 2\n3, 1\n3, 2\n",
-            "dc T(x, y), T(x, z), y != z\n",
+            "key T(K)\n",
         )
         .unwrap();
-        let q = cqa_query::UnionQuery::single(parse_query("Q(x) :- T(x, y)").unwrap());
-        for steps in [1u64, 5, 50, 5000] {
-            let warm = session.certain(&q, &Budget::steps(steps)).unwrap();
-            let cold = answer_consistently_budgeted(
-                session.db(),
-                session.sigma(),
-                &q,
-                &Budget::steps(steps),
-            )
-            .unwrap();
-            assert_eq!(warm.truncation(), cold.truncation(), "steps = {steps}");
-            assert_eq!(
-                warm.value().answers,
-                cold.value().answers,
-                "steps = {steps}"
-            );
-        }
+        let q = UnionQuery::single(parse_query("Q(x, y) :- T(x, y)").unwrap());
+        let unlimited = Budget::unlimited;
+        let components = |session: &CqaSession| session.state.as_ref().unwrap().components();
+        let reads = |session: &mut CqaSession| {
+            let possible = session.possible(&q, &RepairClass::Subset, &unlimited());
+            let card = session.certain_with_class(&q, &RepairClass::Cardinality, &unlimited());
+            (possible.unwrap(), card.unwrap())
+        };
+        let first = reads(&mut session);
+        let before = components(&session);
+        assert!(before
+            .components
+            .iter()
+            .all(|c| c.graph().is_block_shaped()));
+        assert_eq!(reads(&mut session), first);
+        // A read builds no graph and no components: the second one reads
+        // the same component graphs, with the shapes the first detected.
+        assert!(Arc::ptr_eq(&before, &components(&session)));
+        // A third tuple in key 2 touches the middle component only.
+        let (tid, _) = session.insert("T", tuple![2, 3], &unlimited()).unwrap();
+        reads(&mut session);
+        let after = components(&session);
+        let same =
+            |i: usize| std::ptr::eq(before.components[i].graph(), after.components[i].graph());
+        assert!(same(0) && same(2) && !same(1));
+        let minimal = after.components[1].graph().minimal_hitting_sets(None);
+        let mut keep_one: Vec<BTreeSet<Tid>> = vec![
+            [Tid(3), Tid(4)].into(),
+            [Tid(3), tid].into(),
+            [Tid(4), tid].into(),
+        ];
+        keep_one.sort();
+        assert_eq!(minimal, keep_one, "delete two of the three key-2 tuples");
     }
 
     #[test]

@@ -7,9 +7,15 @@
 //! environment variable, and the machine's available parallelism capped at
 //! [`MAX_DEFAULT_THREADS`]. Worker threads spawned by the pool always
 //! report 1 so nested parallel sites run inline.
+//!
+//! The two ambient tiers (`CQA_THREADS` and the machine's parallelism) are
+//! resolved once per process, on first use: reading the CPU count reads
+//! cgroup files on every call. [`with_threads`] and [`set_threads`] stay
+//! dynamic and still take precedence.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Cap on the *default* (auto-detected) thread count. An explicit
 /// `--threads`/`CQA_THREADS`/[`with_threads`] request may exceed it.
@@ -63,18 +69,28 @@ fn resolve() -> (usize, &'static str) {
     if global != 0 {
         return (global, "--threads");
     }
-    if let Ok(s) = std::env::var("CQA_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n != 0 {
-                return (n, "CQA_THREADS");
+    ambient()
+}
+
+/// The ambient tier: `CQA_THREADS`, else the machine's available
+/// parallelism capped at [`MAX_DEFAULT_THREADS`]. Resolved on the first
+/// call and kept for the life of the process.
+fn ambient() -> (usize, &'static str) {
+    static AMBIENT: OnceLock<(usize, &'static str)> = OnceLock::new();
+    *AMBIENT.get_or_init(|| {
+        if let Ok(s) = std::env::var("CQA_THREADS") {
+            if let Ok(n) = s.trim().parse::<usize>() {
+                if n != 0 {
+                    return (n, "CQA_THREADS");
+                }
             }
         }
-    }
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_DEFAULT_THREADS);
-    (auto, "auto")
+        let auto = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_DEFAULT_THREADS);
+        (auto, "auto")
+    })
 }
 
 /// Effective worker count for parallel combinators on the calling thread.
@@ -195,6 +211,34 @@ mod tests {
         let r = std::panic::catch_unwind(|| with_threads(7, || panic!("boom")));
         assert!(r.is_err());
         assert_eq!(threads(), before);
+    }
+
+    #[test]
+    fn overrides_win_over_the_cached_ambient_tier() {
+        let ambient = ambient();
+        // Repeated reads agree with each other and with the snapshot.
+        assert_eq!(threads(), ambient.0);
+        assert_eq!(threads(), ExecConfig::current().threads);
+        assert_eq!(ExecConfig::current().source, ambient.1);
+        // A thread-local override still wins once the tier is cached.
+        let pinned = ambient.0 + 3;
+        with_threads(pinned, || {
+            assert_eq!(threads(), pinned);
+            assert_eq!(
+                ExecConfig::current(),
+                ExecConfig {
+                    threads: pinned,
+                    source: "override",
+                }
+            );
+        });
+        assert_eq!(
+            ExecConfig::current(),
+            ExecConfig {
+                threads: ambient.0,
+                source: ambient.1,
+            }
+        );
     }
 
     #[test]

@@ -139,19 +139,29 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal. Each run of characters that needs no
+/// escape goes out in one `write_str`. Every escaped character is ASCII, so
+/// the byte index of one is a character boundary and the runs are `str`
+/// slices.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(s.get(run..i).unwrap_or_default())?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(s.get(run..).unwrap_or_default())?;
     f.write_str("\"")
 }
 
@@ -564,6 +574,67 @@ mod tests {
             }
             let [fast, slow] = both_scans(&input);
             prop_assert_eq!(fast, slow, "{:?}", input);
+        }
+    }
+
+    /// The per-character writer `write_escaped` replaced, kept as the
+    /// reference for `escaped_runs_match_the_char_writer`.
+    struct CharEscaped<'a>(&'a str);
+
+    impl fmt::Display for CharEscaped<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+    }
+
+    /// A character drawn from one of four classes: a control character, a
+    /// JSON special (quote, backslash, slash, DEL), printable ASCII, or any
+    /// scalar value (mostly multi-byte).
+    fn pick_char(x: u32) -> char {
+        let y = x >> 2;
+        match x % 4 {
+            0 => char::from_u32(y % 0x20),
+            1 => ['"', '\\', '/', '\u{7f}'].get(y as usize % 4).copied(),
+            2 => char::from_u32(0x20 + y % 0x5f),
+            _ => char::from_u32(y % 0x11_0000),
+        }
+        .unwrap_or('\u{fffd}')
+    }
+
+    #[test]
+    fn every_control_character_is_escaped_like_the_char_writer() {
+        let all: String = (0..0x20u32).filter_map(char::from_u32).collect();
+        for s in [all.as_str(), "a\"b\\c", "é€😀", ""] {
+            let json = Json::str(s);
+            assert_eq!(json.to_string(), CharEscaped(s).to_string());
+            assert_eq!(parse(&json.to_string()).unwrap(), json);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn escaped_runs_match_the_char_writer(
+            picks in proptest::collection::vec(any::<u32>(), 0..48),
+        ) {
+            let s: String = picks.iter().map(|&x| pick_char(x)).collect();
+            let json = Json::str(s.as_str());
+            let text = json.to_string();
+            prop_assert_eq!(&text, &CharEscaped(&s).to_string());
+            prop_assert_eq!(parse(&text), Ok(json));
         }
     }
 

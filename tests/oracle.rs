@@ -6,8 +6,12 @@
 //! body directly under SQL null semantics. It uses no conflict hyper-graph,
 //! hitting sets, repair views or plan cache. Certain, possible, IAR and
 //! aggregate-range answers then follow from their definitions, and the
-//! library's CQA entry points, the planner and a `CqaSession` after each
-//! write of a random write sequence are compared with them by content.
+//! library's CQA entry points, the planner and every read of a
+//! `CqaSession` — before the first write and after each write of a random
+//! write sequence — are compared with them by content. The session keeps
+//! each conflict component's graph, with its cached block shape, across the
+//! writes that do not touch it, so a shape a write should have dropped
+//! fails here.
 //!
 //! The cases reach both routes a component's repair family takes: key
 //! groups are block-shaped and read off their classes, while the `R(x, y),
@@ -346,6 +350,152 @@ fn library_routes_match_the_definitions() {
     );
 }
 
+/// Every read of `session` against the definitions over its instance: the
+/// planned certain answers, certain answers under the C-repairs, possible
+/// answers under the S- and C-repairs, the S- and C-repair lists as sets,
+/// and an S-repair listing cut at `limit`, which holds `min(limit, n)`
+/// definition repairs.
+fn check_session_reads(session: &mut CqaSession, sigma: &ConstraintSet, limit: usize, ctx: &str) {
+    let budget = Budget::unlimited();
+    let oracle = Oracle::new(session.db(), sigma);
+    let subset = oracle.repairs(&RepairClass::Subset);
+    let card = oracle.repairs(&RepairClass::Cardinality);
+    for (text, q) in queries() {
+        let planned = session.certain(&q, &budget).unwrap().into_value();
+        assert_eq!(
+            planned.answers,
+            certain(&subset, &q),
+            "session {text} via {:?}, {ctx}",
+            planned.strategy
+        );
+        let got = session
+            .certain_with_class(&q, &RepairClass::Cardinality, &budget)
+            .unwrap();
+        assert_eq!(
+            got.into_value(),
+            certain(&card, &q),
+            "session C-certain {text}, {ctx}"
+        );
+        for (class, repairs) in [
+            (RepairClass::Subset, &subset),
+            (RepairClass::Cardinality, &card),
+        ] {
+            let got = session.possible(&q, &class, &budget).unwrap().into_value();
+            assert_eq!(
+                got,
+                possible(repairs, &q),
+                "session {class:?} possible {text}, {ctx}"
+            );
+        }
+    }
+    for (class, family) in [
+        (RepairClass::Subset, &oracle.s_repairs),
+        (RepairClass::Cardinality, &oracle.c_repairs),
+    ] {
+        let got = session.repairs(&class, None, &budget).unwrap().into_value();
+        assert_eq!(
+            contents(got),
+            family.iter().cloned().collect(),
+            "session {class:?} repairs, {ctx}"
+        );
+    }
+    let listed = session
+        .repairs(&RepairClass::Subset, Some(limit), &budget)
+        .unwrap()
+        .into_value();
+    assert_eq!(
+        listed.len(),
+        limit.min(oracle.s_repairs.len()),
+        "session repairs cut at {limit}, {ctx}"
+    );
+    for repair in contents(listed) {
+        assert!(
+            oracle.s_repairs.contains(&repair),
+            "session repairs cut at {limit} list {repair:?}, {ctx}"
+        );
+    }
+}
+
+/// Facts for a session that starts with two or three conflicting key
+/// groups of two `R` facts, so that its reads take the factored routes,
+/// plus up to two facts of `case`'s kind.
+fn grouped_facts(rng: &mut SmallRng) -> Vec<Fact> {
+    let mut facts: Vec<Fact> = Vec::new();
+    for key in 0..rng.gen_range(2..4) {
+        let v = rng.gen_range(0..3);
+        for w in [v, (v + 1 + rng.gen_range(0..2)) % 3] {
+            facts.push(("R".into(), Tuple::new([Value::Int(key), Value::Int(w)])));
+        }
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let f = fact(rng);
+        if !facts.contains(&f) {
+            facts.push(f);
+        }
+    }
+    facts
+}
+
+/// A warm session over `db` under up to four random writes: an insert, an
+/// insert into an existing key group, a delete or a one-cell update, which
+/// may collide with an existing fact and shrink the set. Every read runs
+/// before the first write, which fills the component graphs' cached
+/// shapes, and after each write.
+fn check_session(rng: &mut SmallRng, db: &Database, sigma: &ConstraintSet, ctx: &str) {
+    let mut session = CqaSession::new(db.clone(), sigma.clone()).unwrap();
+    let budget = Budget::unlimited();
+    check_session_reads(&mut session, sigma, rng.gen_range(1..4), ctx);
+    let mut writes: Vec<String> = Vec::new();
+    for _ in 0..rng.gen_range(1..5) {
+        let tids: Vec<Tid> = session.db().tids().into_iter().collect();
+        let keys: Vec<Value> = session
+            .db()
+            .facts()
+            .filter(|(relation, _, _)| *relation == "R")
+            .map(|(_, _, tuple)| tuple.at(0).clone())
+            .collect();
+        let write = match rng.gen_range(0..4) {
+            0 if !tids.is_empty() => {
+                let victim = tids[rng.gen_range(0..tids.len())];
+                session.delete(victim, &budget).unwrap();
+                format!("delete {victim:?}")
+            }
+            1 if !tids.is_empty() => {
+                let target = tids[rng.gen_range(0..tids.len())];
+                let arity = session.db().get(target).unwrap().1.arity();
+                let position = rng.gen_range(0..arity);
+                let v = value(rng);
+                session
+                    .update(target, position, v.clone(), &budget)
+                    .unwrap();
+                format!("update {target:?}[{position}] := {v:?}")
+            }
+            2 if !keys.is_empty() => {
+                // A fact joining an existing key group: its conflict
+                // component grows and keeps its smallest tid.
+                let key = keys[rng.gen_range(0..keys.len())].clone();
+                let tuple = Tuple::new([key, value(rng)]);
+                session.insert("R", tuple.clone(), &budget).unwrap();
+                format!("insert R{tuple}")
+            }
+            _ => {
+                // Inserting a fact already present is a no-op.
+                let (relation, tuple) = fact(rng);
+                session.insert(&relation, tuple.clone(), &budget).unwrap();
+                format!("insert {relation}{tuple}")
+            }
+        };
+        writes.push(write);
+        let limit = rng.gen_range(1..4);
+        check_session_reads(
+            &mut session,
+            sigma,
+            limit,
+            &format!("after {writes:?}, {ctx}"),
+        );
+    }
+}
+
 #[test]
 fn planner_and_sessions_match_the_definitions() {
     for seed in 0..CASES {
@@ -362,50 +512,12 @@ fn planner_and_sessions_match_the_definitions() {
                 planned.strategy
             );
         }
-
-        // Up to four random writes: an insert, a delete or a one-cell
-        // update, which may collide with an existing fact and shrink the
-        // set. The warm session's planned reads follow each write.
+        // Sessions over the case's instance and over one with several
+        // conflicting key groups.
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e55_1011);
-        let mut session = CqaSession::new(db.clone(), sigma.clone()).unwrap();
-        let budget = Budget::unlimited();
-        let mut writes: Vec<String> = Vec::new();
-        for _ in 0..rng.gen_range(1..5) {
-            let tids: Vec<Tid> = session.db().tids().into_iter().collect();
-            let write = match rng.gen_range(0..3) {
-                0 if !tids.is_empty() => {
-                    let victim = tids[rng.gen_range(0..tids.len())];
-                    session.delete(victim, &budget).unwrap();
-                    format!("delete {victim:?}")
-                }
-                1 if !tids.is_empty() => {
-                    let target = tids[rng.gen_range(0..tids.len())];
-                    let arity = session.db().get(target).unwrap().1.arity();
-                    let position = rng.gen_range(0..arity);
-                    let v = value(&mut rng);
-                    session
-                        .update(target, position, v.clone(), &budget)
-                        .unwrap();
-                    format!("update {target:?}[{position}] := {v:?}")
-                }
-                _ => {
-                    // Inserting a fact already present is a no-op.
-                    let (relation, tuple) = fact(&mut rng);
-                    session.insert(&relation, tuple.clone(), &budget).unwrap();
-                    format!("insert {relation}{tuple}")
-                }
-            };
-            writes.push(write);
-            let repairs = Oracle::new(session.db(), &sigma).repairs(&RepairClass::Subset);
-            for (text, q) in queries() {
-                let planned = session.certain(&q, &budget).unwrap().into_value();
-                assert_eq!(
-                    planned.answers,
-                    certain(&repairs, &q),
-                    "session {text} after {writes:?} via {:?}, {ctx}",
-                    planned.strategy
-                );
-            }
-        }
+        check_session(&mut rng, &db, &sigma, &ctx);
+        let grouped = grouped_facts(&mut rng);
+        let ctx = format!("grouped case {seed}: {grouped:?} under {sigma:?}");
+        check_session(&mut rng, &instance(&grouped), &sigma, &ctx);
     }
 }
