@@ -12,17 +12,25 @@
 //! at 4 — against the one-shot library calls that rebuild violations,
 //! graph, components and families on every call. It checks first that
 //! each warm read returns the one-shot call's output.
+//!
+//! It also times a `mutate_mix` tenant (`f18_columnar(f18_data(2 000, 11))`
+//! under its FD-shaped and range denials) on a warm session: the two
+//! planner reads, against the one-shot planner, and the four-write cycle —
+//! a conflicting insert, an amount raised above 9 900, the delete of the
+//! inserted order and the amount put back — each write maintaining the
+//! conflict state. Before timing, and again after write cycles, each warm
+//! read must return the one-shot planner's answers and strategy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cqa_bench::key_conflict_instance;
+use cqa_bench::{f18_columnar, f18_data, key_conflict_instance};
 use cqa_core::{
-    consistent_answers_budgeted, possible_answers_budgeted, s_repairs_budgeted, CqaSession,
-    RepairClass, RepairOptions,
+    answer_consistently_budgeted, consistent_answers_budgeted, possible_answers_budgeted,
+    s_repairs_budgeted, CqaSession, RepairClass, RepairOptions,
 };
 use cqa_exec::{AdmissionGate, Budget, CancelToken};
 use cqa_query::{parse_query, UnionQuery};
-use cqa_relation::Tid;
+use cqa_relation::{Tid, Tuple, Value};
 use cqa_server::{api, Json, Request, ServerConfig, ServerState, SessionStore};
 use std::collections::BTreeSet;
 use std::sync::{Arc, RwLock};
@@ -189,7 +197,101 @@ fn bench_warm_reads(c: &mut Criterion) {
             out.unwrap().into_value().len()
         })
     });
+    bench_mutate_mix_session(&mut group);
     group.finish();
+}
+
+/// The four writes of one `mutate_mix` cycle on `session`, which leave its
+/// content as they found it: a conflicting insert (the first order's
+/// customer in another city), the second order's amount raised above 9 900,
+/// the delete of the inserted order, and the amount put back.
+fn write_cycle(session: &mut CqaSession, oid: &mut i64) {
+    let unlimited = Budget::unlimited();
+    let (row, raised, amount) = {
+        let db = session.db();
+        let orders = db.relation("Orders").expect("F18 has Orders");
+        let tids: Vec<Tid> = orders.tids().take(2).collect();
+        let first = orders.get(tids[0]).expect("a live row");
+        let raised = tids[1];
+        let amount = orders.get(raised).expect("a live row").at(4).clone();
+        let other = db
+            .relation("Cities")
+            .expect("F18 has Cities")
+            .tuples()
+            .map(|t| t.at(0).clone())
+            .find(|city| city != first.at(2))
+            .expect("another city");
+        *oid += 1;
+        let row = Tuple::new([
+            Value::Int(*oid),
+            first.at(1).clone(),
+            other,
+            first.at(3).clone(),
+            Value::Int(100),
+        ]);
+        (row, raised, amount)
+    };
+    let (inserted, _) = session.insert("Orders", row, &unlimited).expect("insert");
+    session
+        .update(raised, 4, Value::Int(9_950), &unlimited)
+        .expect("raise");
+    session.delete(inserted, &unlimited).expect("delete");
+    session
+        .update(raised, 4, amount, &unlimited)
+        .expect("restore");
+}
+
+/// A warm 2 000-order F18 session: its two `mutate_mix` planner reads and
+/// its four-write cycle, gated on the one-shot planner's output.
+fn bench_mutate_mix_session(group: &mut criterion::BenchmarkGroup<'_>) {
+    let (db, sigma) = f18_columnar(&f18_data(2_000, 11));
+    let mut session = CqaSession::new(db, sigma.clone()).expect("F18 Σ is denial-class");
+    let reads = [
+        "Q(c, r) :- Orders(o, c, x, s, a), Cities(x, r), a < 300",
+        "Q(o, x) :- Orders(o, c, x, s, a), Cities(x, r), a > 9600",
+    ]
+    .map(|text| UnionQuery::single(parse_query(text).expect("query")));
+    let unlimited = Budget::unlimited;
+    let mut oid = 10_000_000;
+    let check = |session: &mut CqaSession| {
+        for q in &reads {
+            let warm = session.certain(q, &unlimited()).unwrap().into_value();
+            let one_shot = answer_consistently_budgeted(session.db(), &sigma, q, &unlimited())
+                .unwrap()
+                .into_value();
+            assert_eq!(
+                (warm.answers, warm.strategy),
+                (one_shot.answers, one_shot.strategy)
+            );
+        }
+    };
+    check(&mut session);
+    write_cycle(&mut session, &mut oid);
+    check(&mut session);
+    for (i, q) in reads.iter().enumerate() {
+        group.bench_function(
+            BenchmarkId::new(format!("mutate_mix_read_{i}"), "warm"),
+            |b| {
+                b.iter(|| {
+                    let out = session.certain(q, &unlimited());
+                    out.unwrap().into_value().answers.len()
+                })
+            },
+        );
+        group.bench_function(
+            BenchmarkId::new(format!("mutate_mix_read_{i}"), "one_shot"),
+            |b| {
+                b.iter(|| {
+                    let out = answer_consistently_budgeted(session.db(), &sigma, q, &unlimited());
+                    out.unwrap().into_value().answers.len()
+                })
+            },
+        );
+    }
+    group.bench_function(BenchmarkId::new("mutate_mix_write_cycle", "warm"), |b| {
+        b.iter(|| write_cycle(&mut session, &mut oid))
+    });
+    check(&mut session);
 }
 
 criterion_group!(benches, bench_f20, bench_warm_reads);

@@ -21,7 +21,7 @@ use cqa_constraints::{ConflictComponents, ConflictHypergraph};
 use cqa_exec::{Budget, Outcome};
 use cqa_query::{witnesses, NullSemantics, UnionQuery};
 use cqa_relation::{Database, DeltaView, Facts, Tid};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -192,14 +192,13 @@ pub fn responsibility<F: Facts + ?Sized>(
 }
 
 /// Shared cross-component context for the factored responsibility path:
-/// the component decomposition of the support hyper-graph, a tid → component
-/// index, and one **minimum** hitting set per component. A candidate's
+/// the component decomposition of the support hyper-graph (with its kept
+/// tid → component index), and one **minimum** hitting set per component. A candidate's
 /// global contingency set is its component-local optimum plus every *other*
 /// component's fixed minimum — those minima do not depend on the candidate,
 /// so they are computed once per graph and shared by all candidates.
 struct CompCtx {
     components: Arc<ConflictComponents>,
-    index: BTreeMap<Tid, usize>,
     minima: Vec<BTreeSet<Tid>>,
 }
 
@@ -219,12 +218,7 @@ impl CompCtx {
         } else {
             cqa_exec::par_map(&components.components, minimum)
         };
-        let index = components.component_index();
-        Some(CompCtx {
-            components,
-            index,
-            minima,
-        })
+        Some(CompCtx { components, minima })
     }
 }
 
@@ -235,7 +229,7 @@ impl CompCtx {
 /// minimum splits as local minimum + Σ other components' minima), though
 /// the Γ *witness* may be a different, equally small set.
 fn responsibility_factored(ctx: &CompCtx, tid: Tid, budget: &Budget) -> (f64, BTreeSet<Tid>) {
-    let Some(&comp) = ctx.index.get(&tid) else {
+    let Some(comp) = ctx.components.component_index().get(tid) else {
         // Not on any support edge: not a cause.
         return (0.0, BTreeSet::new());
     };

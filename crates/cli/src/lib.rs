@@ -346,7 +346,8 @@ fn cmd_analyze(opts: &Opts, out: &mut String) -> Result<i32, String> {
             let components = graph.components();
             let conflicted: usize = components.components.iter().map(|c| c.node_count()).sum();
             let total = db.tids().len();
-            let core = components.frozen_core.len();
+            // The frozen core: every tuple outside the components.
+            let core = total.saturating_sub(conflicted);
             let _ = writeln!(
                 out,
                 "conflict components: {} ({} conflicted tuple(s); frozen core {}/{} = {:.1}%)",

@@ -10,8 +10,11 @@
 //! that factorization:
 //!
 //! * [`ConflictComponents::compute`] — union-find over the hyper-edges,
-//!   yielding the frozen core plus one [`ComponentGraph`] per component in
-//!   a canonical (smallest-tid-first) order;
+//!   yielding one [`ComponentGraph`] per component in a canonical
+//!   (smallest-tid-first) order; the frozen core is every tuple outside
+//!   them, derived where it is read and never stored;
+//! * [`ConflictComponents::component_index`] — each conflicted tuple's
+//!   component, built on first use and kept with the factorization;
 //! * [`ConflictComponents::minimal_hitting_sets_factored`] /
 //!   [`ConflictComponents::minimum_hitting_sets_factored`] — per-component
 //!   hitting-set families producing [`FactoredFamilies`], never the
@@ -45,8 +48,8 @@
 use crate::hypergraph::ConflictHypergraph;
 use cqa_exec::{Budget, Outcome};
 use cqa_relation::Tid;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// Fewest hyper-edges, summed over the components, for which the
 /// per-component searches run on the `cqa-exec` pool. Each pooled call
@@ -100,17 +103,56 @@ impl ComponentGraph {
     }
 }
 
-/// The factorization of a conflict hyper-graph: the frozen core (tuples in
-/// no conflict — they persist in every repair) plus the connected
-/// components, in canonical order (ascending smallest tid).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The factorization of a conflict hyper-graph: its connected components,
+/// in canonical order (ascending smallest tid). The tuples in no component
+/// form the frozen core: they touch no conflict and persist in every
+/// repair. The core is derived, never stored — it is
+/// [`ConflictHypergraph::isolated_nodes`], and its size is the node count
+/// minus the components' node counts.
+#[derive(Clone)]
 pub struct ConflictComponents {
-    /// Tuples touching no hyper-edge; identical to
-    /// [`ConflictHypergraph::isolated_nodes`].
-    pub frozen_core: BTreeSet<Tid>,
     /// The connected components, smallest-tid-first. Empty iff the instance
     /// is consistent (no edges).
     pub components: Vec<ComponentGraph>,
+    /// Cached [`ConflictComponents::component_index`]; filled on the first
+    /// read that needs it.
+    index: OnceLock<ComponentIndex>,
+}
+
+impl std::fmt::Debug for ConflictComponents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The index is derived state: the debug view is the same whether or
+        // not it was built.
+        f.debug_struct("ConflictComponents")
+            .field("components", &self.components)
+            .finish()
+    }
+}
+
+impl PartialEq for ConflictComponents {
+    fn eq(&self, other: &Self) -> bool {
+        self.components == other.components
+    }
+}
+
+impl Eq for ConflictComponents {}
+
+/// Every conflicted tuple's component, as its canonical index: the
+/// `(tid, component)` pairs sorted by tid, probed by binary search.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ComponentIndex {
+    entries: Vec<(Tid, usize)>,
+}
+
+impl ComponentIndex {
+    /// The component holding `tid`; `None` for a tuple in no conflict.
+    pub fn get(&self, tid: Tid) -> Option<usize> {
+        self.entries
+            .binary_search_by_key(&tid, |&(t, _)| t)
+            .ok()
+            .and_then(|at| self.entries.get(at))
+            .map(|&(_, c)| c)
+    }
 }
 
 /// Per-component hitting-set families, plus a per-component exactness tag.
@@ -220,9 +262,9 @@ impl UnionFind {
 }
 
 impl ConflictComponents {
-    /// Factor `graph` into its frozen core and connected components via
-    /// union-find over the hyper-edges, in flat passes: `O(E·s·log V)` for
-    /// `E` edges of size `s` over `V` covered tuples. Prefer
+    /// Factor `graph` into its connected components via union-find over
+    /// the hyper-edges, in flat passes: `O(E·s·log V)` for `E` edges of
+    /// size `s` over `V` covered tuples. Prefer
     /// [`ConflictHypergraph::components`], which caches the result on the
     /// graph.
     ///
@@ -287,29 +329,23 @@ impl ConflictComponents {
                 )),
             })
             .collect();
-        // The frozen core in one merge pass of two ascending sequences.
-        let mut rest = covered.iter().peekable();
-        let frozen_core = graph
-            .nodes
-            .iter()
-            .filter(|&t| {
-                while rest.next_if(|&c| c < t).is_some() {}
-                rest.peek() != Some(&t)
-            })
-            .copied()
-            .collect();
+        ConflictComponents::from_components(components)
+    }
+
+    fn from_components(components: Vec<ComponentGraph>) -> ConflictComponents {
         ConflictComponents {
-            frozen_core,
             components,
+            index: OnceLock::new(),
         }
     }
 
     /// Incrementally maintain the factorization under an edge delta:
-    /// rebuild **only** the components touched by a removed or added edge,
-    /// carry every untouched component over verbatim, and re-derive the
-    /// frozen core against `new_nodes`. An untouched component is carried
-    /// by pointer, with the shape its graph has cached; a rebuilt one
-    /// starts with empty caches.
+    /// rebuild **only** the components touched by a removed or added edge
+    /// and carry every untouched component over verbatim. An untouched
+    /// component is carried by pointer, with the shape its graph has
+    /// cached; a rebuilt one starts with empty caches. Nothing here reads
+    /// the node set, so a write costs the touched components, not the
+    /// instance: the frozen core is derived, not stored.
     ///
     /// `removed`/`added` must be the set difference between the old and new
     /// graph's (canonical, superset-filtered) edge sets — exactly what
@@ -328,23 +364,12 @@ impl ConflictComponents {
     ///   by one ordered merge of the two disjoint component lists.
     pub fn apply_edge_delta(
         &self,
-        new_nodes: &BTreeSet<Tid>,
         removed: &BTreeSet<BTreeSet<Tid>>,
         added: &BTreeSet<BTreeSet<Tid>>,
     ) -> ConflictComponents {
         if removed.is_empty() && added.is_empty() {
-            // Only the node set may have drifted: conflict-free tuples
-            // entering or leaving the frozen core.
-            let covered: BTreeSet<Tid> = self
-                .components
-                .iter()
-                .flat_map(|c| c.tids())
-                .copied()
-                .collect();
-            return ConflictComponents {
-                frozen_core: new_nodes.difference(&covered).copied().collect(),
-                components: self.components.clone(),
-            };
+            // Only conflict-free tuples came or went.
+            return ConflictComponents::from_components(self.components.clone());
         }
         // Delta edges touch few tuples: locate each one's owning component
         // by direct membership probe instead of materializing the full
@@ -390,29 +415,23 @@ impl ConflictComponents {
             .collect();
         merged.extend(sub.components);
         merged.sort_by_key(|c| c.tids().iter().next().copied());
-        // Components are disjoint, so a flat sort beats rebuilding a tree
-        // set over every covered tuple.
-        let mut covered: Vec<Tid> = merged.iter().flat_map(|c| c.tids()).copied().collect();
-        covered.sort_unstable();
-        ConflictComponents {
-            frozen_core: new_nodes
-                .iter()
-                .filter(|t| covered.binary_search(t).is_err())
-                .copied()
-                .collect(),
-            components: merged,
-        }
+        ConflictComponents::from_components(merged)
     }
 
-    /// Map every conflicted tid to its component's canonical index.
-    pub fn component_index(&self) -> BTreeMap<Tid, usize> {
-        let mut out = BTreeMap::new();
-        for (i, c) in self.components.iter().enumerate() {
-            for &t in c.tids() {
-                out.insert(t, i);
-            }
-        }
-        out
+    /// Every conflicted tid's component, by canonical index. Built once per
+    /// factorization, on the first call, and kept: a session's reads share
+    /// it until a write maintains the factorization into a new one.
+    pub fn component_index(&self) -> &ComponentIndex {
+        self.index.get_or_init(|| {
+            let mut entries: Vec<(Tid, usize)> = self
+                .components
+                .iter()
+                .enumerate()
+                .flat_map(|(i, c)| c.tids().iter().map(move |&t| (t, i)))
+                .collect();
+            entries.sort_unstable();
+            ComponentIndex { entries }
+        })
     }
 
     /// Node count of the largest component (0 when consistent).
@@ -546,6 +565,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// The union-find the old `compute` used, for the reference.
     struct RefUnionFind {
@@ -627,10 +647,7 @@ mod tests {
                 graph: Arc::new(ConflictHypergraph::new(nodes, edges)),
             })
             .collect();
-        ConflictComponents {
-            frozen_core: graph.nodes.difference(&covered).copied().collect(),
-            components,
-        }
+        ConflictComponents::from_components(components)
     }
 
     /// A random edge list: 1–3 tids each over at most 40 tids, with
@@ -703,7 +720,7 @@ mod tests {
             let removed = old.difference(&new).cloned().collect();
             let added = new.difference(&old).cloned().collect();
             let expected = ConflictComponents::compute(&g2);
-            prop_assert_eq!(&comps.apply_edge_delta(&nodes2, &removed, &added), &expected);
+            prop_assert_eq!(&comps.apply_edge_delta(&removed, &added), &expected);
             // The graph maintained from the delta alone: `dirty` holds the
             // tids of the raw sets that changed and the dropped nodes, and
             // `added` the new raw sets that touch it.
@@ -747,7 +764,7 @@ mod tests {
     fn components_are_canonical_and_cover_edges() {
         let g = two_component_graph();
         let comps = ConflictComponents::compute(&g);
-        assert_eq!(comps.frozen_core, tids(&[6, 7]));
+        assert_eq!(g.isolated_nodes(), tids(&[6, 7]));
         assert_eq!(comps.components.len(), 2);
         assert_eq!(comps.components[0].tids(), &tids(&[1, 2, 3, 4, 5]));
         assert_eq!(comps.components[0].edge_count(), 3);
@@ -755,9 +772,9 @@ mod tests {
         assert_eq!(comps.components[1].edge_count(), 1);
         assert_eq!(comps.largest_component(), 5);
         let idx = comps.component_index();
-        assert_eq!(idx[&Tid(4)], 0);
-        assert_eq!(idx[&Tid(9)], 1);
-        assert!(!idx.contains_key(&Tid(6)));
+        assert_eq!(idx.get(Tid(4)), Some(0));
+        assert_eq!(idx.get(Tid(9)), Some(1));
+        assert_eq!(idx.get(Tid(6)), None);
     }
 
     #[test]
@@ -765,7 +782,8 @@ mod tests {
         let g = ConflictHypergraph::new(tids(&[1, 2]), vec![]);
         let comps = ConflictComponents::compute(&g);
         assert!(comps.components.is_empty());
-        assert_eq!(comps.frozen_core, tids(&[1, 2]));
+        assert_eq!(g.isolated_nodes(), tids(&[1, 2]));
+        assert_eq!(comps.component_index().get(Tid(1)), None);
         assert_eq!(comps.largest_component(), 0);
     }
 

@@ -423,7 +423,7 @@ impl ConflictHypergraph {
         };
         if let Some(old) = self.components.get() {
             let added_edges: BTreeSet<BTreeSet<Tid>> = accepted.into_iter().collect();
-            let maintained = old.apply_edge_delta(&next.nodes, &removed, &added_edges);
+            let maintained = old.apply_edge_delta(&removed, &added_edges);
             let _ = next.components.set(Arc::new(maintained));
         }
         next

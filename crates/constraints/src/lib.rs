@@ -27,7 +27,7 @@ pub mod ind;
 pub mod parser;
 
 pub use cfd::{CfdLhs, ConditionalFd, Pattern};
-pub use components::{ComponentGraph, ConflictComponents, FactoredFamilies};
+pub use components::{ComponentGraph, ComponentIndex, ConflictComponents, FactoredFamilies};
 pub use constraint::{Constraint, ConstraintSet};
 pub use denial::DenialConstraint;
 pub use fd::{FunctionalDependency, KeyConstraint};

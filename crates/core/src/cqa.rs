@@ -29,11 +29,11 @@ use crate::repair::Repair;
 use crate::srepair::{denial_class_s_repairs, s_repairs_budgeted, RepairOptions};
 use cqa_constraints::{ConflictComponents, ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
-use cqa_query::eval::{answer_key, for_each_witness_vids, resolve_answer};
+use cqa_query::eval::{for_each_witness_vids, AnswerKeys};
 use cqa_query::{eval_aggregate, eval_ucq, AggOp, AggregateQuery, NullSemantics, UnionQuery};
-use cqa_relation::fxhash::WordHashMap;
-use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value, Vid};
+use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which class of repairs CQA quantifies over.
@@ -637,59 +637,78 @@ fn monolithic(
 // ---------------------------------------------------------------------------
 
 /// The witnesses of a monotone query over the whole instance, sliced by
-/// conflict component. Answers are ids into `answers`.
+/// conflict component, in id space from witness to answer: answers are
+/// dense ids into `answers`, which are in `Tuple` order.
 struct WitnessSlices {
-    /// `Q(core)`: the answers of witnesses inside the frozen core.
-    core: BTreeSet<usize>,
-    /// Per component (canonical order), the distinct `(conflicted tids,
-    /// answer)` pairs of the witnesses touching it.
-    slices: Vec<BTreeSet<(Vec<Tid>, usize)>>,
+    /// `Q(core)`: the answer ids of the witnesses inside the frozen core,
+    /// ascending and distinct.
+    core: Vec<usize>,
+    /// Per component (canonical order), the range of `entries` that is its
+    /// slice.
+    slices: Vec<Range<usize>>,
+    /// The distinct `(component, conflicted tids, answer)` triples of the
+    /// witnesses touching one component, grouped by component.
+    entries: Vec<SliceEntry>,
+    /// The conflicted tids of every entry, back to back.
+    tids: Vec<Tid>,
     /// The distinct null-free answers, in `Tuple` order.
     answers: Vec<Tuple>,
     /// Witnesses the scan visited.
     witnesses: usize,
 }
 
+/// One distinct witness of a component's slice.
+struct SliceEntry {
+    component: usize,
+    /// Where its conflicted tids (ascending) lie in [`WitnessSlices::tids`].
+    tids: Range<usize>,
+    /// Its answer id (a key id until the keys are resolved).
+    answer: usize,
+}
+
 impl WitnessSlices {
     /// Scan the witnesses of `query` over `db` once, in id space, and slice
     /// them by component. `None` when some witness touches two components.
-    /// Answer keys stay vids until the scan is done; each distinct key is
-    /// then resolved once and the answers sorted, so vid order never
-    /// reaches the output.
+    /// Each witness interns its head vids ([`AnswerKeys`]) and appends its
+    /// conflicted tids to one arena. Each distinct key is then resolved
+    /// once and the answers sorted into dense ids, so vid order never
+    /// reaches the output, and one sort groups the entries by component
+    /// and removes duplicates.
     fn scan(
         db: &Database,
         query: &UnionQuery,
         components: &ConflictComponents,
     ) -> Option<WitnessSlices> {
-        type Key = (usize, Vec<Vid>); // (disjunct, head vids)
         let index = components.component_index();
+        let mut keys = AnswerKeys::new(&query.disjuncts);
         let mut witnesses = 0usize;
-        let mut core: BTreeSet<Key> = BTreeSet::new();
-        let mut sliced: Vec<BTreeSet<(Vec<Tid>, Key)>> =
-            vec![BTreeSet::new(); components.components.len()];
+        let mut core_keys: Vec<usize> = Vec::new();
+        let mut entries: Vec<SliceEntry> = Vec::new();
+        let mut tids: Vec<Tid> = Vec::new();
+        let mut touched: Vec<(usize, Tid)> = Vec::new();
         for (d, cq) in query.disjuncts.iter().enumerate() {
             let mut spanning = false;
-            for_each_witness_vids(db, cq, NullSemantics::Sql, &mut |bindings, tids| {
+            for_each_witness_vids(db, cq, NullSemantics::Sql, &mut |bindings, witness| {
                 witnesses += 1;
-                let Some(key) = answer_key(cq, bindings) else {
+                let Some(key) = keys.intern(d, bindings) else {
                     return true; // unbound head variable: no answer
                 };
                 // Frozen-core tuples belong to every repair; only the
                 // conflicted ones decide where the witness survives.
-                let mut touched: Vec<(usize, Tid)> = tids
-                    .iter()
-                    .filter_map(|t| index.get(t).map(|&c| (c, *t)))
-                    .collect();
+                touched.clear();
+                touched.extend(witness.iter().filter_map(|&t| Some((index.get(t)?, t))));
                 touched.sort_unstable();
                 touched.dedup();
                 match touched.first() {
-                    None => {
-                        core.insert((d, key));
-                    }
+                    None => core_keys.push(key),
                     Some(&(c, _)) if touched.iter().all(|&(o, _)| o == c) => {
-                        if let Some(slice) = sliced.get_mut(c) {
-                            slice.insert((touched.into_iter().map(|(_, t)| t).collect(), (d, key)));
-                        }
+                        let start = tids.len();
+                        tids.extend(touched.iter().map(|&(_, t)| t));
+                        entries.push(SliceEntry {
+                            component: c,
+                            tids: start..tids.len(),
+                            answer: key,
+                        });
                     }
                     Some(_) => {
                         spanning = true;
@@ -702,53 +721,47 @@ impl WitnessSlices {
                 return None;
             }
         }
-        // Resolve each distinct key once. Under SQL semantics an answer
-        // containing a null is never returned, so it is dropped here with
-        // all of its witnesses.
-        let mut cache = WordHashMap::default();
-        let mut resolved: BTreeMap<&Key, Tuple> = BTreeMap::new();
-        for key in core.iter().chain(sliced.iter().flatten().map(|(_, k)| k)) {
-            if resolved.contains_key(key) {
-                continue;
+        // Under SQL semantics an answer containing a null is never
+        // returned, so it is dropped here with all of its witnesses.
+        let resolved = keys.resolve(db, |t| !t.has_null());
+        let answer_of = |key: usize| resolved.of_key.get(key).copied().flatten();
+        let mut core: Vec<usize> = core_keys.into_iter().filter_map(answer_of).collect();
+        core.sort_unstable();
+        core.dedup();
+        entries.retain_mut(|e| match answer_of(e.answer) {
+            Some(a) => {
+                e.answer = a;
+                true
             }
-            let answer = query
-                .disjuncts
-                .get(key.0)
-                .and_then(|cq| resolve_answer(db, cq, &key.1, &mut cache))
-                .filter(|t| !t.has_null());
-            if let Some(t) = answer {
-                resolved.insert(key, t);
-            }
+            None => false,
+        });
+        let tids_of = |e: &SliceEntry| tids.get(e.tids.clone()).unwrap_or(&[]);
+        entries.sort_unstable_by(|a, b| {
+            (a.component, tids_of(a), a.answer).cmp(&(b.component, tids_of(b), b.answer))
+        });
+        entries.dedup_by(|a, b| {
+            (a.component, a.answer) == (b.component, b.answer) && tids_of(a) == tids_of(b)
+        });
+        let mut slices = Vec::with_capacity(components.components.len());
+        let mut start = 0;
+        for c in 0..components.components.len() {
+            let len = entries
+                .get(start..)
+                .map_or(0, |rest| rest.partition_point(|e| e.component == c));
+            slices.push(start..start + len);
+            start += len;
         }
-        let answers: Vec<Tuple> = resolved
-            .values()
-            .cloned()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let id = |key: &Key| {
-            resolved
-                .get(key)
-                .and_then(|t| answers.binary_search(t).ok())
-        };
-        let core = core.iter().filter_map(id).collect();
-        let slices = sliced
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .filter_map(|(tids, key)| Some((tids.clone(), id(key)?)))
-                    .collect()
-            })
-            .collect();
         Some(WitnessSlices {
             core,
             slices,
-            answers,
+            entries,
+            tids,
+            answers: resolved.answers,
             witnesses,
         })
     }
 
-    /// Resolve answer ids.
+    /// Resolve answer ids, given in ascending order.
     fn tuples(&self, ids: impl IntoIterator<Item = usize>) -> BTreeSet<Tuple> {
         ids.into_iter()
             .filter_map(|id| self.answers.get(id).cloned())
@@ -757,8 +770,9 @@ impl WitnessSlices {
 
     /// Fold one side over the component families (canonical order):
     /// `Q(core)` plus, per component, the intersection (certain) or union
-    /// (possible) of `A(c,h)` over its local deletion sets `h`. `None` when
-    /// the budget fired mid-fold.
+    /// (possible) of `A(c,h)` over its local deletion sets `h`. Each
+    /// component's sets of answers are bitsets over the distinct answers of
+    /// its own slice. `None` when the budget fired mid-fold.
     fn fold(
         &self,
         families: &[Vec<BTreeSet<Tid>>],
@@ -767,6 +781,12 @@ impl WitnessSlices {
     ) -> Option<BTreeSet<Tuple>> {
         let sequential = budget.forces_sequential();
         let mut out = self.core.clone();
+        // Scratch sized by one component's slice: its distinct answer ids,
+        // each entry's bit among them, `A(c,h)` and the accumulator.
+        let mut local: Vec<usize> = Vec::new();
+        let mut bit_of: Vec<usize> = Vec::new();
+        let mut here: Vec<u64> = Vec::new();
+        let mut acc: Vec<u64> = Vec::new();
         for (family, slice) in families.iter().zip(&self.slices) {
             // A logical budget ticks once per component-local repair in
             // canonical order, so the cut point is schedule-independent;
@@ -774,39 +794,65 @@ impl WitnessSlices {
             if !sequential && !budget.check_deadline() {
                 return None;
             }
-            let mut acc: Option<BTreeSet<usize>> = None;
+            let entries = self.entries.get(slice.clone()).unwrap_or(&[]);
+            local.clear();
+            local.extend(entries.iter().map(|e| e.answer));
+            local.sort_unstable();
+            local.dedup();
+            bit_of.clear();
+            bit_of.extend(
+                entries
+                    .iter()
+                    .map(|e| local.binary_search(&e.answer).unwrap_or_default()),
+            );
+            let words = local.len().div_ceil(64);
+            let mut folded = false;
             for h in family {
                 if sequential && !budget.tick() {
                     return None;
                 }
                 // A(c,h): the answers of this component's witnesses none of
                 // whose tuples `h` deletes.
-                let here = slice
-                    .iter()
-                    .filter(|(tids, _)| tids.iter().all(|t| !h.contains(t)))
-                    .map(|&(_, a)| a);
-                let merged = match (side, acc.take()) {
-                    (_, None) => here.collect(),
-                    (Side::Certain, Some(mut a)) => {
-                        let here: BTreeSet<usize> = here.collect();
-                        a.retain(|x| here.contains(x));
-                        a
+                here.clear();
+                here.resize(words, 0);
+                for (e, &bit) in entries.iter().zip(&bit_of) {
+                    let survives = self
+                        .tids
+                        .get(e.tids.clone())
+                        .is_some_and(|ts| ts.iter().all(|t| !h.contains(t)));
+                    if let Some(word) = here.get_mut(bit / 64).filter(|_| survives) {
+                        *word |= 1 << (bit % 64);
                     }
-                    (Side::Possible, Some(mut a)) => {
-                        a.extend(here);
-                        a
+                }
+                if !folded {
+                    acc.clone_from(&here);
+                    folded = true;
+                } else {
+                    for (a, w) in acc.iter_mut().zip(&here) {
+                        match side {
+                            Side::Certain => *a &= w,
+                            Side::Possible => *a |= w,
+                        }
                     }
-                };
+                }
                 // Certain: once Q(core) ∪ acc is empty, no later local
                 // repair of this component can add to it.
-                let done = side == Side::Certain && merged.is_empty() && self.core.is_empty();
-                acc = Some(merged);
-                if done {
+                if side == Side::Certain && self.core.is_empty() && acc.iter().all(|&w| w == 0) {
                     break;
                 }
             }
-            out.extend(acc.into_iter().flatten());
+            if folded {
+                out.extend(
+                    local
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| acc.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+                        .map(|(_, &a)| a),
+                );
+            }
         }
+        out.sort_unstable();
+        out.dedup();
         Some(self.tuples(out))
     }
 }

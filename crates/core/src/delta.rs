@@ -30,6 +30,7 @@
 //! never a truncated artifact). Enforced by `tests/incremental_equivalence.rs`
 //! over random mutation sequences.
 
+use cqa_analysis::{lint_constraints, Diagnostic};
 use cqa_constraints::{ConflictComponents, ConflictHypergraph, ConstraintSet};
 use cqa_exec::Budget;
 use cqa_relation::{Change, Database, RelationError, Tid};
@@ -76,16 +77,18 @@ impl MaintenanceDecision {
 
 /// Incrementally maintained conflict state for one `(Database, Σ)` pair:
 /// the denial violation sets, the conflict hyper-graph built over them, and
-/// (primed inside the graph) the component factorization with its frozen
-/// core. Bound to one database identity via the mutation epoch — refresh it
-/// only against the database it was built from (or a clone, which carries
-/// the epoch along).
+/// (primed inside the graph) the component factorization. Bound to one
+/// database identity via the mutation epoch — refresh it only against the
+/// database it was built from (or a clone, which carries the epoch along) —
+/// and to one Σ.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     epoch: u64,
     violations: BTreeSet<BTreeSet<Tid>>,
     graph: ConflictHypergraph,
     last: MaintenanceDecision,
+    /// Σ's lints against the schema, once a planner read asked for them.
+    sigma_lints: Option<Vec<Diagnostic>>,
 }
 
 impl IncrementalState {
@@ -106,6 +109,7 @@ impl IncrementalState {
             last: MaintenanceDecision::Recompute {
                 reason: "initial build".into(),
             },
+            sigma_lints: None,
         })
     }
 
@@ -154,12 +158,22 @@ impl IncrementalState {
         // partial work and recomputes exactly (`Outcome::Truncated` state is
         // not a thing this type produces).
         let mut dirty: BTreeSet<Tid> = BTreeSet::new();
-        let mut nodes = self.graph.nodes.clone();
         for c in changes {
             if !budget.tick() {
                 return self.recompute(db, sigma, "the budget latched mid-delta");
             }
             dirty.insert(c.tid());
+        }
+        // Monotone-body maintenance identity: keep the old sets untouched
+        // by the dirty tids, re-derive everything involving them. Retention
+        // is in place — the kept sets (the overwhelming majority under a
+        // small delta) are never re-cloned — and the graph is maintained
+        // from the delta alone, never re-canonicalizing the full edge list.
+        let delta = sigma.denial_violations_delta(db, &dirty)?;
+        // The node set moves into the next graph, patched by the changes;
+        // it is taken only now, so an error above leaves the state whole.
+        let mut nodes = std::mem::take(&mut self.graph.nodes);
+        for c in changes {
             match c {
                 Change::Insert { tid, .. } => {
                     nodes.insert(*tid);
@@ -171,12 +185,6 @@ impl IncrementalState {
             }
         }
         debug_assert_eq!(nodes, db.tids(), "maintained node set drifted");
-        // Monotone-body maintenance identity: keep the old sets untouched
-        // by the dirty tids, re-derive everything involving them. Retention
-        // is in place — the kept sets (the overwhelming majority under a
-        // small delta) are never re-cloned — and the graph is maintained
-        // from the delta alone, never re-canonicalizing the full edge list.
-        let delta = sigma.denial_violations_delta(db, &dirty)?;
         self.graph = self.graph.apply_violation_delta(nodes, &dirty, &delta);
         self.violations
             .retain(|v| v.iter().all(|t| !dirty.contains(t)));
@@ -199,6 +207,9 @@ impl IncrementalState {
         self.violations = violations;
         self.graph = graph;
         self.epoch = db.epoch();
+        // A structural change (a new relation) may change the schema the
+        // lints read.
+        self.sigma_lints = None;
         // A structural reset means the instance drifted past what the
         // change log describes; the subplan cache's stamp keys stay sound
         // regardless, but entries for the abandoned states will never hit
@@ -235,6 +246,15 @@ impl IncrementalState {
     /// satisfied exactly when there is no violation set.)
     pub fn is_consistent(&self) -> bool {
         self.graph.edge_count() == 0
+    }
+
+    /// Σ's lints against the instance's schema
+    /// ([`cqa_analysis::lint_constraints`]), computed on the first call and
+    /// kept: they read only Σ and the schema, and the writes an incremental
+    /// refresh applies change neither. A recompute drops them.
+    pub(crate) fn sigma_lints(&mut self, db: &Database, sigma: &ConstraintSet) -> &[Diagnostic] {
+        self.sigma_lints
+            .get_or_insert_with(|| lint_constraints(sigma, Some(db)))
     }
 
     /// How the last refresh revalidated the cache.

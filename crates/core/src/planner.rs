@@ -18,8 +18,8 @@ use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
 use cqa_analysis::{lint_constraints, lint_query, DiagCode, Diagnostic};
 use cqa_constraints::{ConflictHypergraph, Constraint, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
-use cqa_query::{eval_fo, ConjunctiveQuery, NullSemantics, UnionQuery};
-use cqa_relation::{Database, RelationError, Tuple};
+use cqa_query::{eval_fo, ConjunctiveQuery, NullSemantics, Term, UnionQuery};
+use cqa_relation::{Database, RelationError, Tuple, Value};
 use std::collections::BTreeSet;
 
 /// How the planner answered the query.
@@ -65,10 +65,13 @@ pub fn plan_diagnostics(
     query: &UnionQuery,
 ) -> Vec<Diagnostic> {
     let mut out = lint_constraints(sigma, Some(db));
-    for cq in &query.disjuncts {
-        out.extend(lint_query(cq));
-    }
+    out.extend(query_lints(query));
     out
+}
+
+/// The query half of [`plan_diagnostics`]: every disjunct's lints.
+fn query_lints(query: &UnionQuery) -> impl Iterator<Item = Diagnostic> + '_ {
+    query.disjuncts.iter().flat_map(lint_query)
 }
 
 /// Extract the key positions from Σ if Σ consists solely of key constraints
@@ -86,6 +89,26 @@ fn keys_only(db: &Database, sigma: &ConstraintSet) -> Option<KeyPositions> {
         }
     }
     Some(keys)
+}
+
+/// The answers of `cq` from those of its FO rewriting, which bind only the
+/// head variables: every constant head term is put back in its place. An
+/// answer holding a null is not certain, so a null constant leaves none.
+fn with_head_constants(cq: &ConjunctiveQuery, answers: BTreeSet<Tuple>) -> BTreeSet<Tuple> {
+    if cq.head.iter().all(|t| t.as_var().is_some()) {
+        return answers;
+    }
+    answers
+        .into_iter()
+        .map(|t| {
+            let mut values = t.iter().cloned();
+            Tuple::new(cq.head.iter().map(|term| match term {
+                Term::Const(c) => c.clone(),
+                Term::Var(_) => values.next().unwrap_or(Value::NULL),
+            }))
+        })
+        .filter(|t| !t.has_null())
+        .collect()
 }
 
 /// The first relation `cq` reads that holds a SQL null. The FO rewriting
@@ -159,7 +182,9 @@ pub(crate) fn incremental_with(
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
     let db = base.db();
     let decision = state.refresh_budgeted(db, sigma, budget)?.clone();
-    let mut diagnostics = plan_diagnostics(db, sigma, query);
+    // [`plan_diagnostics`], with Σ's half kept on the state.
+    let mut diagnostics = state.sigma_lints(db, sigma).to_vec();
+    diagnostics.extend(query_lints(query));
     diagnostics.push(incremental_diagnostic(&decision));
     // Σ is denial-class (IncrementalState::new enforces it), so the
     // instance is consistent exactly when the maintained graph is edgeless.
@@ -212,8 +237,9 @@ fn plan_with(
                         );
                         return fallback(base, sigma, query, reason, diagnostics, budget, prebuilt);
                     }
+                    let answers = eval_fo(db, &fo, NullSemantics::Structural);
                     return Ok(Outcome::Exact(PlannedAnswer {
-                        answers: eval_fo(db, &fo, NullSemantics::Structural),
+                        answers: with_head_constants(cq, answers),
                         strategy: Strategy::FoRewriting,
                         diagnostics,
                     }));

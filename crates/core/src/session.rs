@@ -4,7 +4,7 @@
 //!
 //! A [`CqaSession`] owns a loaded [`Database`] plus the warm expensive
 //! artifacts — the delta-maintained [`IncrementalState`] (violations,
-//! conflict hyper-graph, primed component factorization and frozen core)
+//! conflict hyper-graph and primed component factorization)
 //! and, inside the database itself, the shared base-index cache. Mutations
 //! go through the change-log pipeline and bring the state up to date
 //! **incrementally**. Every read — [`certain`](CqaSession::certain),

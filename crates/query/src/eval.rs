@@ -25,9 +25,10 @@
 
 use crate::ast::{Atom, Comparison, ConjunctiveQuery, Term, UnionQuery, Var};
 use crate::plan::Access;
-use cqa_relation::fxhash::WordHashMap;
+use cqa_relation::fxhash::{FxHasher, WordHashMap};
 use cqa_relation::{sql_eq, Facts, HashIndex, Relation, Tid, Truth, Tuple, Value, Vid, VidRow};
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// How nulls behave during matching (see `cqa-relation::value`).
@@ -846,40 +847,196 @@ pub fn eval_cq<F: Facts + ?Sized>(
     cq: &ConjunctiveQuery,
     mode: NullSemantics,
 ) -> BTreeSet<Tuple> {
-    // Deduplicate answers in id space: a witness contributes only its head
-    // variables' vids (word-sized; vid equality is value equality), so no
-    // witness touches the dictionary. Values reappear below, once per
-    // *distinct* answer — resolve, then sort into the output set, so the
-    // order is the resolved tuples' Value order, never the id order.
-    let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
+    // Deduplicate answers in id space, so no witness touches the
+    // dictionary; values reappear once per distinct answer.
+    let mut keys = AnswerKeys::new(std::slice::from_ref(cq));
     for_each_witness_vids(facts, cq, mode, &mut |bindings, _| {
-        // An unbound head variable projects no answer.
-        if let Some(key) = answer_key(cq, bindings) {
-            distinct.insert(key);
-        }
+        keys.intern(0, bindings);
         true
     });
-    resolve_distinct_answers(facts, cq, &distinct)
+    keys.resolve(facts, |_| true).answers.into_iter().collect()
 }
 
-/// The id-space answer key of one witness of `cq`: the vids bound to its
-/// head *variables*, in head order (constant head terms are filled back in
-/// by [`resolve_answer`]). `None` when a head variable is unbound, i.e.
-/// the witness projects no answer. Vid equality is value equality, so
-/// deduplicating keys deduplicates answers without touching the dictionary.
-pub fn answer_key(cq: &ConjunctiveQuery, bindings: &VidBindings) -> Option<Vec<Vid>> {
-    let mut key = Vec::with_capacity(cq.head.len());
-    for t in &cq.head {
-        if let Term::Var(v) = t {
-            key.push(bindings.get(*v)?);
+/// [`eval_cq`] under a caller-supplied join order (see
+/// [`for_each_witness_vids_ordered`] for admissibility). The answer set is
+/// identical for every admissible order; only evaluation cost varies.
+pub fn eval_cq_ordered<F: Facts + ?Sized>(
+    facts: &F,
+    cq: &ConjunctiveQuery,
+    mode: NullSemantics,
+    order: &[usize],
+) -> BTreeSet<Tuple> {
+    let mut keys = AnswerKeys::new(std::slice::from_ref(cq));
+    for_each_witness_vids_ordered(facts, cq, mode, order, &mut |bindings, _| {
+        keys.intern(0, bindings);
+        true
+    });
+    keys.resolve(facts, |_| true).answers.into_iter().collect()
+}
+
+/// The distinct answer keys of the witnesses of a union's disjuncts, in id
+/// space. A witness's key is the vids it binds to its disjunct's head
+/// *variables*, in head order; constant head terms are filled back in by
+/// [`AnswerKeys::resolve`]. Each distinct key is stored once in one flat
+/// arena and found again through an open-addressed table of key ids,
+/// hashed over the disjunct and the key's vids, so a repeated key costs one
+/// probe and allocates nothing. Vid equality is value equality, so the
+/// distinct keys of one disjunct are its distinct answers; two disjuncts
+/// may still share an answer, which `resolve` merges.
+pub struct AnswerKeys<'q> {
+    disjuncts: &'q [ConjunctiveQuery],
+    /// Every key's vids, back to back.
+    arena: Vec<Vid>,
+    /// Per key id: its disjunct, and where its vids end in `arena` (they
+    /// start where the previous key's end).
+    keys: Vec<(usize, usize)>,
+    /// Key ids, [`NO_KEY`] where free. Empty before the first key, then a
+    /// power of two at least twice the key count.
+    slots: Vec<usize>,
+}
+
+/// A free slot of [`AnswerKeys`]' table.
+const NO_KEY: usize = usize::MAX;
+
+/// The distinct answers of an [`AnswerKeys`], in `Tuple` order, and the
+/// answer of each key.
+pub struct ResolvedAnswers {
+    /// The distinct answers, sorted: answer ids index this list.
+    pub answers: Vec<Tuple>,
+    /// Per key id, the id of its answer; `None` when a vid of the key did
+    /// not resolve or the answer was not kept.
+    pub of_key: Vec<Option<usize>>,
+}
+
+impl<'q> AnswerKeys<'q> {
+    /// No keys yet, for witnesses of `disjuncts`.
+    pub fn new(disjuncts: &'q [ConjunctiveQuery]) -> AnswerKeys<'q> {
+        AnswerKeys {
+            disjuncts,
+            arena: Vec::new(),
+            keys: Vec::new(),
+            slots: Vec::new(),
         }
     }
-    Some(key)
+
+    /// Intern the key of a witness of disjunct `disjunct` with variable
+    /// assignment `bindings`: its key id, dense from 0 in first-seen order.
+    /// `None` when a head variable is unbound, so the witness projects no
+    /// answer, or when there is no such disjunct.
+    pub fn intern(&mut self, disjunct: usize, bindings: &VidBindings) -> Option<usize> {
+        let cq = self.disjuncts.get(disjunct)?;
+        let start = self.arena.len();
+        for t in &cq.head {
+            if let Term::Var(v) = t {
+                let Some(vid) = bindings.get(*v) else {
+                    self.arena.truncate(start);
+                    return None;
+                };
+                self.arena.push(vid);
+            }
+        }
+        if 2 * (self.keys.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let key = self.arena.get(start..).unwrap_or(&[]);
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = key_hash(disjunct, key) & mask;
+        while let Some(&k) = self.slots.get(at).filter(|&&k| k != NO_KEY) {
+            if self.keys.get(k).is_some_and(|&(d, _)| d == disjunct) && self.key(k) == key {
+                self.arena.truncate(start);
+                return Some(k);
+            }
+            at = (at + 1) & mask;
+        }
+        let k = self.keys.len();
+        self.keys.push((disjunct, self.arena.len()));
+        if let Some(slot) = self.slots.get_mut(at) {
+            *slot = k;
+        }
+        Some(k)
+    }
+
+    /// The vids of key `k`.
+    fn key(&self, k: usize) -> &[Vid] {
+        let start = k
+            .checked_sub(1)
+            .and_then(|p| self.keys.get(p))
+            .map_or(0, |&(_, end)| end);
+        let end = self.keys.get(k).map_or(start, |&(_, end)| end);
+        self.arena.get(start..end).unwrap_or(&[])
+    }
+
+    /// Double the table (to 16 slots from none) and re-place every key.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        let mask = size - 1;
+        let mut slots = vec![NO_KEY; size];
+        for (k, &(d, _)) in self.keys.iter().enumerate() {
+            let mut at = key_hash(d, self.key(k)) & mask;
+            while slots.get(at).is_some_and(|&s| s != NO_KEY) {
+                at = (at + 1) & mask;
+            }
+            if let Some(slot) = slots.get_mut(at) {
+                *slot = k;
+            }
+        }
+        self.slots = slots;
+    }
+
+    /// Resolve each key once into its answer tuple, each distinct vid
+    /// through the dictionary at most once, and sort the answers `keep`
+    /// accepts into dense ids. The order is the tuples' `Value` order, never
+    /// the id order.
+    pub fn resolve<F: Facts + ?Sized>(
+        &self,
+        facts: &F,
+        keep: impl Fn(&Tuple) -> bool,
+    ) -> ResolvedAnswers {
+        let mut cache: WordHashMap<Vid, Value> = WordHashMap::default();
+        let mut resolved: Vec<(Tuple, usize)> = Vec::with_capacity(self.keys.len());
+        for (k, &(d, _)) in self.keys.iter().enumerate() {
+            let answer = self
+                .disjuncts
+                .get(d)
+                .and_then(|cq| resolve_answer(facts, cq, self.key(k), &mut cache));
+            if let Some(t) = answer.filter(|t| keep(t)) {
+                resolved.push((t, k));
+            }
+        }
+        // Equal answers (of different disjuncts) are adjacent and share one
+        // id, so their relative order does not matter.
+        resolved.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut answers: Vec<Tuple> = Vec::with_capacity(resolved.len());
+        let mut of_key = vec![None; self.keys.len()];
+        for (t, k) in resolved {
+            if answers.last() != Some(&t) {
+                answers.push(t);
+            }
+            if let Some(slot) = of_key.get_mut(k) {
+                *slot = answers.len().checked_sub(1);
+            }
+        }
+        ResolvedAnswers { answers, of_key }
+    }
 }
 
-/// Resolve an [`answer_key`] of `cq` into its answer tuple, each distinct
-/// vid through `cache` at most once. `None` when a vid does not resolve.
-pub fn resolve_answer<F: Facts + ?Sized>(
+/// The table hash of a key of disjunct `disjunct`. The Fx mix ends in a
+/// multiply, which leaves its entropy in the high bits; the table masks
+/// low ones, so the high half is folded down.
+fn key_hash(disjunct: usize, key: &[Vid]) -> usize {
+    let mut h = FxHasher::default();
+    h.write_usize(disjunct);
+    for vid in key {
+        h.write_u32(vid.raw());
+    }
+    let h = h.finish();
+    (h ^ (h >> 32)) as usize
+}
+
+/// Resolve the key vids of a witness of `cq` into its answer tuple, each
+/// distinct vid through `cache` at most once. `None` when a vid does not
+/// resolve.
+fn resolve_answer<F: Facts + ?Sized>(
     facts: &F,
     cq: &ConjunctiveQuery,
     key: &[Vid],
@@ -894,39 +1051,6 @@ pub fn resolve_answer<F: Facts + ?Sized>(
         });
     }
     Some(Tuple::new(vals))
-}
-
-/// Resolve deduplicated id-space answer keys into value-space tuples.
-fn resolve_distinct_answers<F: Facts + ?Sized>(
-    facts: &F,
-    cq: &ConjunctiveQuery,
-    distinct: &BTreeSet<Vec<Vid>>,
-) -> BTreeSet<Tuple> {
-    let mut cache: WordHashMap<Vid, Value> = WordHashMap::default();
-    // A dangling vid drops its answer.
-    distinct
-        .iter()
-        .filter_map(|key| resolve_answer(facts, cq, key, &mut cache))
-        .collect()
-}
-
-/// [`eval_cq`] under a caller-supplied join order (see
-/// [`for_each_witness_vids_ordered`] for admissibility). The answer set is
-/// identical for every admissible order; only evaluation cost varies.
-pub fn eval_cq_ordered<F: Facts + ?Sized>(
-    facts: &F,
-    cq: &ConjunctiveQuery,
-    mode: NullSemantics,
-    order: &[usize],
-) -> BTreeSet<Tuple> {
-    let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
-    for_each_witness_vids_ordered(facts, cq, mode, order, &mut |bindings, _| {
-        if let Some(key) = answer_key(cq, bindings) {
-            distinct.insert(key);
-        }
-        true
-    });
-    resolve_distinct_answers(facts, cq, &distinct)
 }
 
 /// Evaluate a union of conjunctive queries.

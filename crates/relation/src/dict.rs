@@ -90,6 +90,20 @@ impl Vid {
         self.0
     }
 
+    /// The vid whose raw representation is `raw` (the inverse of
+    /// [`Vid::raw`]).
+    #[inline]
+    pub(crate) fn from_raw(raw: u32) -> Vid {
+        Vid(raw)
+    }
+
+    /// Is this an inline integer? Inline integers are offset-encoded under
+    /// one tag, so their raw order is their value order.
+    #[inline]
+    pub(crate) fn is_inline_int(self) -> bool {
+        self.tag() == TAG_INT
+    }
+
     /// A table vid for dictionary slot `index` (also used by views for
     /// extension ids minted from the top of the table space).
     #[inline]

@@ -25,7 +25,7 @@ use crate::dict::{ValueDict, Vid};
 use crate::fxhash::WordHashMap;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// One write to a relation's store, as the indexes and statistics that
 /// describe the store see it. `row` is always the content of the row the
@@ -224,6 +224,28 @@ impl HashIndex {
     }
 }
 
+/// The cells of one vid in [`SortedIndex::build`]: the range `cells` of the
+/// sorted cells, and `value`, the vid's value, or `None` for an inline
+/// integer.
+struct Run {
+    vid: Vid,
+    value: Option<Value>,
+    cells: Range<usize>,
+}
+
+impl Run {
+    /// Value order: two inline integers by raw id, anything else by value.
+    fn cmp_value(&self, other: &Run) -> Ordering {
+        let int = |vid: Vid| vid.inline_value().unwrap_or(Value::NULL);
+        match (&self.value, &other.value) {
+            (None, None) => self.vid.raw().cmp(&other.vid.raw()),
+            (Some(a), Some(b)) => a.cmp(b),
+            (None, Some(b)) => int(self.vid).cmp(b),
+            (Some(a), None) => a.cmp(&int(other.vid)),
+        }
+    }
+}
+
 /// A single-column index sorted by **resolved value order** (ties broken by
 /// row position, i.e. tid order — deterministic at any thread count).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,24 +256,47 @@ pub struct SortedIndex {
 }
 
 impl SortedIndex {
-    /// Build over one column of `store`, ordering entries through the
-    /// dictionary's resolve path.
+    /// Build over one column of `store`, in `(value, position)` order.
+    ///
+    /// The cells are sorted as words first: `(raw vid, position)` packed in
+    /// one `u64`, which groups equal vids into runs in position order. Only
+    /// the runs, one per distinct vid, are then put in value order: two
+    /// inline integers compare by raw id, whose offset encoding keeps their
+    /// order, and every other vid is resolved once. On a column of inline
+    /// integers the runs are already in value order, so the second sort is
+    /// one pass.
     pub fn build(store: &ColumnStore, col: usize, dict: &ValueDict) -> Option<SortedIndex> {
         if col >= store.arity() {
             return None;
         }
-        // Resolve each cell once, sort by (value, position), strip values.
-        let mut cells: Vec<(Value, u32, Vid)> = store
+        let mut cells: Vec<u64> = store
             .column(col)
             .iter()
-            .enumerate()
-            .map(|(pos, &vid)| (dict.resolve(vid).unwrap_or(Value::NULL), pos as u32, vid))
+            .zip(0u32..)
+            .map(|(vid, pos)| (u64::from(vid.raw()) << 32) | u64::from(pos))
             .collect();
-        cells.sort();
-        Some(SortedIndex {
-            col,
-            entries: cells.into_iter().map(|(_, pos, vid)| (vid, pos)).collect(),
-        })
+        cells.sort_unstable();
+        let mut runs: Vec<Run> = Vec::new();
+        for (at, &cell) in cells.iter().enumerate() {
+            let vid = Vid::from_raw((cell >> 32) as u32);
+            match runs.last_mut() {
+                Some(run) if run.vid == vid => run.cells.end = at + 1,
+                _ => runs.push(Run {
+                    vid,
+                    value: (!vid.is_inline_int()).then(|| dict.resolve(vid).unwrap_or(Value::NULL)),
+                    cells: at..at + 1,
+                }),
+            }
+        }
+        // Distinct vids hold distinct values (the dictionary canonicalizes),
+        // so no two runs tie.
+        runs.sort_by(Run::cmp_value);
+        let mut entries = Vec::with_capacity(cells.len());
+        for run in &runs {
+            let positions = cells.get(run.cells.clone()).unwrap_or(&[]);
+            entries.extend(positions.iter().map(|&cell| (run.vid, cell as u32)));
+        }
+        Some(SortedIndex { col, entries })
     }
 
     /// The indexed column.
@@ -344,6 +389,9 @@ impl SortedIndex {
 mod tests {
     use super::*;
     use crate::tuple::Tid;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn store(dict: &ValueDict, rows: &[(&str, i64)]) -> ColumnStore {
         let mut s = ColumnStore::new(2);
@@ -466,5 +514,47 @@ mod tests {
         let mut expect = vals.to_vec();
         expect.sort();
         assert_eq!(sorted, expect);
+    }
+
+    /// A cell from small pools, so values repeat: inline integers, integers
+    /// too large to inline, integral floats (stored as integers), other
+    /// floats (including `-0.0`), strings, bools and labelled nulls.
+    fn mixed_value(rng: &mut SmallRng) -> Value {
+        match rng.gen_range(0..8) {
+            0 | 1 => Value::Int(rng.gen_range(-3..4)),
+            2 => Value::Int((1i64 << 40) * rng.gen_range(-2..3)),
+            3 => Value::Float(rng.gen_range(-4..5) as f64 * 0.75),
+            4 => Value::Float(-0.0),
+            5 => Value::str(["", "a", "ab", "b"][rng.gen_range(0..4)]),
+            6 => Value::Bool(rng.gen_bool(0.5)),
+            _ => Value::Null(rng.gen_range(0..3)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SortedIndex::build` orders a mixed column exactly as sorting
+        /// its cells by `(value, position)` does.
+        #[test]
+        fn sorted_index_build_matches_value_order(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let dict = ValueDict::new();
+            let mut s = ColumnStore::new(1);
+            for i in 0..rng.gen_range(0..60u64) {
+                let vid = dict.intern(&mixed_value(&mut rng));
+                prop_assert!(s.push(Tid(i + 1), &[vid]));
+            }
+            let ix = SortedIndex::build(&s, 0, &dict).unwrap();
+            let mut cells: Vec<(Value, u32, Vid)> = s
+                .column(0)
+                .iter()
+                .enumerate()
+                .map(|(pos, &vid)| (dict.resolve(vid).unwrap(), pos as u32, vid))
+                .collect();
+            cells.sort();
+            let want: Vec<(Vid, u32)> = cells.into_iter().map(|(_, pos, vid)| (vid, pos)).collect();
+            prop_assert_eq!(ix.entries(), &want[..]);
+        }
     }
 }

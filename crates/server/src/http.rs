@@ -211,7 +211,9 @@ fn read_line_limited(
 /// Extra response headers (e.g. `Retry-After`).
 pub type Headers<'a> = &'a [(&'a str, String)];
 
-/// Write one JSON response. `close` adds `Connection: close`.
+/// Write one JSON response. `close` adds `Connection: close`. The head and
+/// the body go out in one write, so a reply leaves as one segment and a
+/// keep-alive client wakes once for it.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -231,22 +233,22 @@ pub fn write_response(
         503 => "Service Unavailable",
         _ => "Response",
     };
-    let mut head = format!(
+    let mut reply = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         body.len()
     );
     for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        reply.push_str(name);
+        reply.push_str(": ");
+        reply.push_str(value);
+        reply.push_str("\r\n");
     }
     if close {
-        head.push_str("Connection: close\r\n");
+        reply.push_str("Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    reply.push_str("\r\n");
+    reply.push_str(body);
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 
@@ -331,5 +333,34 @@ mod tests {
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A sink that records each `write` call.
+    #[derive(Default)]
+    struct Writes {
+        calls: Vec<Vec<u8>>,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_written_in_one_call() {
+        let mut sink = Writes::default();
+        let body = r#"{"answers":[[1,"a"]]}"#;
+        write_response(&mut sink, 200, &[], body, false).unwrap();
+        let expected = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(sink.calls, vec![expected.into_bytes()]);
     }
 }

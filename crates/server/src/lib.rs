@@ -6,7 +6,7 @@
 //! (`repairctl serve`). The value of the server over the one-shot CLI is
 //! *warmth*: a session keeps the loaded instance, its shared base-index
 //! cache, and the delta-maintained conflict state (violations,
-//! hyper-graph, primed component factorization, frozen core) alive between
+//! hyper-graph, primed component factorization) alive between
 //! requests, so a mutate-then-query round trip costs an incremental
 //! maintenance step instead of a full reload-and-rebuild — while staying
 //! byte-identical to the library path (the F20 harness and the

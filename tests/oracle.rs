@@ -17,6 +17,12 @@
 //! groups are block-shaped and read off their classes, while the `R(x, y),
 //! S(y)` denial joins key groups into paths such as s₁–r₁–r₂–s₂ that the
 //! hitting-set search answers. The library test counts both kinds.
+//!
+//! The answers the witness-slice fold builds are ids of interned head keys.
+//! The queries include a union whose disjuncts share answers, so that one
+//! answer reached through two disjuncts must take one id, and a constant
+//! head term; in every other case `R`'s key column holds strings, so that
+//! answers resolve through the dictionary.
 
 use cqa_constraints::{ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
@@ -26,7 +32,8 @@ use cqa_core::{
 };
 use cqa_exec::Budget;
 use cqa_query::{
-    eval_aggregate, eval_ucq, holds, parse_query, AggOp, AggregateQuery, NullSemantics, UnionQuery,
+    eval_aggregate, eval_ucq, holds, parse_query, parse_ucq, AggOp, AggregateQuery, NullSemantics,
+    UnionQuery,
 };
 use cqa_relation::{Database, RelationSchema, Tid, Tuple, Value};
 use rand::rngs::SmallRng;
@@ -47,9 +54,23 @@ fn value(rng: &mut SmallRng) -> Value {
     }
 }
 
-fn fact(rng: &mut SmallRng) -> Fact {
+/// A key of `R`: a value, as a string `kᵢ` when the case keys `R` by
+/// strings. It draws from `rng` exactly as [`value`] does.
+fn key(rng: &mut SmallRng, strings: bool) -> Value {
+    match value(rng) {
+        Value::Int(i) if strings => Value::str(format!("k{i}")),
+        v => v,
+    }
+}
+
+/// Does case `seed` key `R` by strings? Every other case does.
+fn string_keys(seed: u64) -> bool {
+    seed % 2 == 1
+}
+
+fn fact(rng: &mut SmallRng, strings: bool) -> Fact {
     if rng.gen_bool(0.7) {
-        ("R".into(), Tuple::new([value(rng), value(rng)]))
+        ("R".into(), Tuple::new([key(rng, strings), value(rng)]))
     } else {
         ("S".into(), Tuple::new([value(rng)]))
     }
@@ -73,7 +94,7 @@ fn case(seed: u64) -> (Vec<Fact>, ConstraintSet) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut facts: Vec<Fact> = Vec::new();
     for _ in 0..rng.gen_range(1..9) {
-        let f = fact(&mut rng);
+        let f = fact(&mut rng, string_keys(seed));
         if !facts.contains(&f) {
             facts.push(f);
         }
@@ -211,7 +232,9 @@ fn ranges(repairs: &[Database], agg: &AggregateQuery) -> BTreeMap<Tuple, (Value,
 }
 
 /// A full row, a projection on each column, a join with `S`, a self-join
-/// on `V` whose witnesses span key groups, and a negated `S` atom.
+/// on `V` whose witnesses span key groups, a negated `S` atom, a union
+/// whose disjuncts share answers (`V` and `W` range over the same values),
+/// and a constant head term.
 fn queries() -> Vec<(&'static str, UnionQuery)> {
     [
         "Q(x, y) :- R(x, y)",
@@ -221,9 +244,11 @@ fn queries() -> Vec<(&'static str, UnionQuery)> {
         "Q(x) :- R(x, y), S(y)",
         "Q(x, z) :- R(x, y), R(z, y)",
         "Q(x) :- R(x, y), not S(y)",
+        "Q(y) :- R(x, y)\nQ(w) :- S(w)",
+        "Q(x, 7) :- R(x, y)",
     ]
     .into_iter()
-    .map(|text| (text, UnionQuery::single(parse_query(text).unwrap())))
+    .map(|text| (text, parse_ucq(text).unwrap()))
     .collect()
 }
 
@@ -419,16 +444,21 @@ fn check_session_reads(session: &mut CqaSession, sigma: &ConstraintSet, limit: u
 /// Facts for a session that starts with two or three conflicting key
 /// groups of two `R` facts, so that its reads take the factored routes,
 /// plus up to two facts of `case`'s kind.
-fn grouped_facts(rng: &mut SmallRng) -> Vec<Fact> {
+fn grouped_facts(rng: &mut SmallRng, strings: bool) -> Vec<Fact> {
     let mut facts: Vec<Fact> = Vec::new();
-    for key in 0..rng.gen_range(2..4) {
+    for k in 0..rng.gen_range(2..4) {
         let v = rng.gen_range(0..3);
+        let k = if strings {
+            Value::str(format!("k{k}"))
+        } else {
+            Value::Int(k)
+        };
         for w in [v, (v + 1 + rng.gen_range(0..2)) % 3] {
-            facts.push(("R".into(), Tuple::new([Value::Int(key), Value::Int(w)])));
+            facts.push(("R".into(), Tuple::new([k.clone(), Value::Int(w)])));
         }
     }
     for _ in 0..rng.gen_range(0..3) {
-        let f = fact(rng);
+        let f = fact(rng, strings);
         if !facts.contains(&f) {
             facts.push(f);
         }
@@ -440,8 +470,15 @@ fn grouped_facts(rng: &mut SmallRng) -> Vec<Fact> {
 /// insert into an existing key group, a delete or a one-cell update, which
 /// may collide with an existing fact and shrink the set. Every read runs
 /// before the first write, which fills the component graphs' cached
-/// shapes, and after each write.
-fn check_session(rng: &mut SmallRng, db: &Database, sigma: &ConstraintSet, ctx: &str) {
+/// shapes, and after each write. `strings` is whether the case keys `R` by
+/// strings.
+fn check_session(
+    rng: &mut SmallRng,
+    db: &Database,
+    sigma: &ConstraintSet,
+    strings: bool,
+    ctx: &str,
+) {
     let mut session = CqaSession::new(db.clone(), sigma.clone()).unwrap();
     let budget = Budget::unlimited();
     check_session_reads(&mut session, sigma, rng.gen_range(1..4), ctx);
@@ -480,7 +517,7 @@ fn check_session(rng: &mut SmallRng, db: &Database, sigma: &ConstraintSet, ctx: 
             }
             _ => {
                 // Inserting a fact already present is a no-op.
-                let (relation, tuple) = fact(rng);
+                let (relation, tuple) = fact(rng, strings);
                 session.insert(&relation, tuple.clone(), &budget).unwrap();
                 format!("insert {relation}{tuple}")
             }
@@ -515,9 +552,10 @@ fn planner_and_sessions_match_the_definitions() {
         // Sessions over the case's instance and over one with several
         // conflicting key groups.
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e55_1011);
-        check_session(&mut rng, &db, &sigma, &ctx);
-        let grouped = grouped_facts(&mut rng);
+        let strings = string_keys(seed);
+        check_session(&mut rng, &db, &sigma, strings, &ctx);
+        let grouped = grouped_facts(&mut rng, strings);
         let ctx = format!("grouped case {seed}: {grouped:?} under {sigma:?}");
-        check_session(&mut rng, &instance(&grouped), &sigma, &ctx);
+        check_session(&mut rng, &instance(&grouped), &sigma, strings, &ctx);
     }
 }
