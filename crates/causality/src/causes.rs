@@ -14,7 +14,10 @@
 //! dropped, every vertex of an edge is an actual cause (the poly-time result
 //! for CQs/UCQs the paper cites), and responsibility is computed by a
 //! branch-and-bound minimum hitting set through the candidate tuple — the
-//! `FP^NP(log n)`-flavoured part.
+//! `FP^NP(log n)`-flavoured part. That search runs inside the candidate's
+//! own connected component of the support hyper-graph, at any component
+//! count; every other component contributes one fixed minimum hitting set
+//! to Γ.
 
 // audit:exponential — contingency-set search per candidate cause; every search loop must thread a Budget.
 use cqa_constraints::{ConflictComponents, ConflictHypergraph};
@@ -133,10 +136,7 @@ pub fn actual_causes_budgeted<F: Facts + ?Sized>(
     // shared cross-component context once, not per candidate.
     let ctx = CompCtx::build(&graph, budget);
     let compute = |tid: Tid| {
-        let (rho, gamma) = match &ctx {
-            Some(ctx) => responsibility_factored(ctx, tid, budget),
-            None => responsibility_in_graph_budgeted(&graph, tid, budget),
-        };
+        let (rho, gamma) = responsibility_factored(&ctx, tid, budget);
         debug_assert!(rho > 0.0);
         Cause {
             tid,
@@ -185,49 +185,61 @@ pub fn responsibility<F: Facts + ?Sized>(
     if graph.edges.is_empty() || !graph.edges.iter().any(|e| e.contains(&tid)) {
         return (0.0, BTreeSet::new());
     }
-    match CompCtx::build(&graph, &Budget::unlimited()) {
-        Some(ctx) => responsibility_factored(&ctx, tid, &Budget::unlimited()),
-        None => responsibility_in_graph(&graph, tid),
-    }
+    let unlimited = Budget::unlimited();
+    responsibility_factored(&CompCtx::build(&graph, &unlimited), tid, &unlimited)
 }
 
-/// Shared cross-component context for the factored responsibility path:
-/// the component decomposition of the support hyper-graph (with its kept
-/// tid → component index), and one **minimum** hitting set per component. A candidate's
-/// global contingency set is its component-local optimum plus every *other*
-/// component's fixed minimum — those minima do not depend on the candidate,
-/// so they are computed once per graph and shared by all candidates.
+/// Shared cross-component context for the responsibility search: the
+/// component decomposition of the support hyper-graph (with its kept
+/// tid → component index), and one **minimum** hitting set per component. A
+/// candidate's global contingency set is its component-local optimum plus
+/// every *other* component's fixed minimum — those minima do not depend on
+/// the candidate, so they are computed once per graph and shared by all
+/// candidates.
 struct CompCtx {
     components: Arc<ConflictComponents>,
     minima: Vec<BTreeSet<Tid>>,
 }
 
 impl CompCtx {
-    /// `None` when the graph has fewer than two components (the
-    /// factorization would be the identity).
-    fn build(graph: &ConflictHypergraph, budget: &Budget) -> Option<CompCtx> {
+    /// The context of `graph`. Its minima pad the Γ of a candidate in
+    /// another component, so a graph of one component computes none: it
+    /// runs no search beyond the candidates' own.
+    fn build(graph: &ConflictHypergraph, budget: &Budget) -> CompCtx {
         let components = graph.components();
-        if components.components.len() < 2 {
-            return None;
-        }
         let minimum = |c: &cqa_constraints::ComponentGraph| {
             c.graph().minimum_hitting_set_budgeted(budget).into_value()
         };
-        let minima: Vec<BTreeSet<Tid>> = if budget.forces_sequential() || cqa_exec::threads() <= 1 {
+        let minima: Vec<BTreeSet<Tid>> = if components.components.len() < 2 {
+            Vec::new()
+        } else if budget.forces_sequential() || cqa_exec::threads() <= 1 {
             components.components.iter().map(minimum).collect()
         } else {
             cqa_exec::par_map(&components.components, minimum)
         };
-        Some(CompCtx { components, minima })
+        CompCtx { components, minima }
     }
 }
 
-/// Component-local [`responsibility_in_graph_budgeted`]: the contingency
-/// search for `tid` runs inside its own conflict component only. Supports
-/// in other components are hit by their fixed shared minima from
-/// [`CompCtx`] — the reported ρ equals the monolithic search's (the global
-/// minimum splits as local minimum + Σ other components' minima), though
-/// the Γ *witness* may be a different, equally small set.
+/// Smallest contingency set for `tid`, searched inside its own conflict
+/// component only.
+///
+/// Γ must (a) break every support not containing `tid` — otherwise `Q`
+/// survives `D ∖ (Γ ∪ {τ})` — while (b) leaving some support `e ∋ τ`
+/// untouched apart from τ itself, otherwise `Q` is already false in
+/// `D ∖ Γ`. So: for each candidate private support `e ∋ τ`, forbid the
+/// vertices of `e ∖ {τ}` and hit the remaining supports of the component
+/// minimally; take the best `e`. (Equivalently: ρ(τ) = 1 / min{|H| : H
+/// minimal hitting set of the supports with τ ∈ H} — the S-repair
+/// connection of §7.) Supports in other components are hit by their fixed
+/// shared minima from [`CompCtx`]: the global minimum splits as the local
+/// minimum plus the other components' minima, so ρ equals a search over
+/// the whole graph, though the Γ *witness* may be a different, equally
+/// small set.
+///
+/// Once the budget latches, remaining private supports are skipped and the
+/// inner searches fall back to greedy witnesses: Γ stays a valid
+/// contingency set, possibly above minimum size.
 fn responsibility_factored(ctx: &CompCtx, tid: Tid, budget: &Budget) -> (f64, BTreeSet<Tid>) {
     let Some(comp) = ctx.components.component_index().get(tid) else {
         // Not on any support edge: not a cause.
@@ -242,8 +254,10 @@ fn responsibility_factored(ctx: &CompCtx, tid: Tid, budget: &Budget) -> (f64, BT
         }
         let mut forbidden = e.clone();
         forbidden.remove(&tid);
-        // Other components' supports are disjoint from `forbidden`, so only
-        // the local ones can become infeasible.
+        // Γ may not use `forbidden` vertices; an edge losing all its
+        // vertices makes this private support infeasible. Other
+        // components' supports are disjoint from `forbidden`, so only the
+        // local ones can.
         let mut reduced: Vec<BTreeSet<Tid>> = Vec::with_capacity(others.len());
         let mut feasible = true;
         for f in &others {
@@ -270,65 +284,6 @@ fn responsibility_factored(ctx: &CompCtx, tid: Tid, budget: &Budget) -> (f64, BT
                     gamma.extend(h.iter().copied());
                 }
             }
-            let rho = 1.0 / (1.0 + gamma.len() as f64);
-            (rho, gamma)
-        }
-        None => (0.0, BTreeSet::new()),
-    }
-}
-
-/// Smallest contingency set for `tid`.
-///
-/// Γ must (a) break every support not containing `tid` — otherwise `Q`
-/// survives `D ∖ (Γ ∪ {τ})` — while (b) leaving some support `e ∋ τ`
-/// untouched apart from τ itself, otherwise `Q` is already false in
-/// `D ∖ Γ`. So: for each candidate private support `e ∋ τ`, forbid the
-/// vertices of `e ∖ {τ}` and hit the remaining supports minimally; take the
-/// best `e`. (Equivalently: ρ(τ) = 1 / min{|H| : H minimal hitting set of
-/// the supports with τ ∈ H} — the S-repair connection of §7.)
-fn responsibility_in_graph(graph: &ConflictHypergraph, tid: Tid) -> (f64, BTreeSet<Tid>) {
-    responsibility_in_graph_budgeted(graph, tid, &Budget::unlimited())
-}
-
-fn responsibility_in_graph_budgeted(
-    graph: &ConflictHypergraph,
-    tid: Tid,
-    budget: &Budget,
-) -> (f64, BTreeSet<Tid>) {
-    let others: Vec<&BTreeSet<Tid>> = graph.edges.iter().filter(|e| !e.contains(&tid)).collect();
-    let mut best: Option<BTreeSet<Tid>> = None;
-    for e in graph.edges.iter().filter(|e| e.contains(&tid)) {
-        // Once latched, remaining private supports are skipped and the
-        // inner searches fall back to greedy witnesses: `best` stays a
-        // valid contingency set, possibly above minimum size.
-        if best.is_some() && budget.exhausted() {
-            break;
-        }
-        let mut forbidden = e.clone();
-        forbidden.remove(&tid);
-        // Γ may not use `forbidden` vertices; an edge losing all its
-        // vertices makes this private support infeasible.
-        let mut reduced: Vec<BTreeSet<Tid>> = Vec::with_capacity(others.len());
-        let mut feasible = true;
-        for f in &others {
-            let r: BTreeSet<Tid> = f.difference(&forbidden).copied().collect();
-            if r.is_empty() {
-                feasible = false;
-                break;
-            }
-            reduced.push(r);
-        }
-        if !feasible {
-            continue;
-        }
-        let sub = ConflictHypergraph::new(graph.nodes.clone(), reduced);
-        let gamma = sub.minimum_hitting_set_budgeted(budget).into_value();
-        if best.as_ref().is_none_or(|b| gamma.len() < b.len()) {
-            best = Some(gamma);
-        }
-    }
-    match best {
-        Some(gamma) => {
             let rho = 1.0 / (1.0 + gamma.len() as f64);
             (rho, gamma)
         }
@@ -610,6 +565,35 @@ mod tests {
             let reference = exact.iter().find(|e| e.tid == c.tid).expect("real cause");
             assert_eq!(c.responsibility, reference.responsibility);
         }
+    }
+
+    /// The contingency search over the whole support graph, with no
+    /// component reasoning: the reference the per-component search is
+    /// compared against.
+    fn responsibility_in_graph(graph: &ConflictHypergraph, tid: Tid) -> (f64, BTreeSet<Tid>) {
+        let others: Vec<&BTreeSet<Tid>> =
+            graph.edges.iter().filter(|e| !e.contains(&tid)).collect();
+        let mut best: Option<BTreeSet<Tid>> = None;
+        for e in graph.edges.iter().filter(|e| e.contains(&tid)) {
+            let forbidden: BTreeSet<Tid> = e.iter().copied().filter(|&t| t != tid).collect();
+            let reduced: Option<Vec<BTreeSet<Tid>>> = others
+                .iter()
+                .map(|f| {
+                    let r: BTreeSet<Tid> = f.difference(&forbidden).copied().collect();
+                    (!r.is_empty()).then_some(r)
+                })
+                .collect();
+            let Some(reduced) = reduced else {
+                continue;
+            };
+            let gamma = ConflictHypergraph::new(graph.nodes.clone(), reduced).minimum_hitting_set();
+            if best.as_ref().is_none_or(|b| gamma.len() < b.len()) {
+                best = Some(gamma);
+            }
+        }
+        best.map_or((0.0, BTreeSet::new()), |g| {
+            (1.0 / (1.0 + g.len() as f64), g)
+        })
     }
 
     #[test]

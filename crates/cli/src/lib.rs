@@ -712,8 +712,12 @@ fn cmd_cqa(opts: &Opts, out: &mut String) -> Result<i32, String> {
                     Some(p) => p.to_string(),
                     None => "> usize::MAX".to_string(),
                 };
+                let noun = match factorization.components {
+                    1 => "component",
+                    _ => "components",
+                };
                 format!(
-                    "factored repair enumeration over {} conflict components \
+                    "factored repair enumeration over {} conflict {noun} \
                      ({}; folded {} component-local repairs, not {})",
                     factorization.components, reason, factorization.factored_repairs, product,
                 )
@@ -858,7 +862,7 @@ fn cmd_sql(opts: &Opts, out: &mut String) -> Result<i32, String> {
         keys.insert(k.relation.clone(), positions);
     }
     let fo = cqa_core::rewrite_key_query(cq, &keys).map_err(|e| e.to_string())?;
-    let sql = cqa_query::fo_to_sql(&fo, &db).map_err(|e| e.to_string())?;
+    let sql = cqa_query::fo_to_sql(&fo, &cq.head, &db).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "{sql}");
     Ok(0)
 }
@@ -1094,6 +1098,35 @@ mod tests {
         assert_eq!(code, 0);
         assert!(out.starts_with("SELECT DISTINCT"), "{out}");
         assert!(out.contains("NOT EXISTS"), "{out}");
+    }
+
+    #[test]
+    fn sql_command_selects_every_head_term_of_a_key_rewriting() {
+        let dir = tmpdir("sql-head");
+        let db = dir.join("r.idb");
+        std::fs::write(&db, "@relation R(K, V)\n1, 2\n1, 3\n2, 4\n").unwrap();
+        let sigma = dir.join("r.sigma");
+        std::fs::write(&sigma, "key R(K)\n").unwrap();
+        let (db, sigma) = (db.to_string_lossy(), sigma.to_string_lossy());
+        let blocked = "FROM R AS t1 WHERE NOT EXISTS \
+                       (SELECT 1 FROM R AS t2 WHERE t2.K = t1.K AND NOT (TRUE))";
+        for (query, select) in [
+            ("Q(x) :- R(x, y)", "SELECT DISTINCT t1.K AS x"),
+            ("Q(x, 7) :- R(x, y)", "SELECT DISTINCT t1.K AS x, 7"),
+            ("Q(7) :- R(x, y)", "SELECT DISTINCT 7"),
+        ] {
+            let (code, out) = run_cmd(&[
+                "sql",
+                "--db",
+                &db,
+                "--constraints",
+                &sigma,
+                "--query",
+                query,
+            ]);
+            assert_eq!(code, 0, "{query}: {out}");
+            assert_eq!(out, format!("{select} {blocked}\n"), "{query}");
+        }
     }
 
     #[test]
@@ -1370,6 +1403,27 @@ mod tests {
         assert!(
             out.contains("strategy: factored repair enumeration over 2 conflict components"),
             "{out}"
+        );
+        // One conflict component: the same route, named in the singular.
+        let one = dir.join("one.idb");
+        std::fs::write(
+            &one,
+            "@relation Employee(Name, Salary)\n'page', 5000\n'page', 8000\n'smith', 3000\n",
+        )
+        .unwrap();
+        let (code, single) = run_cmd(&[
+            "cqa",
+            "--db",
+            &one.to_string_lossy(),
+            "--constraints",
+            &dc_sigma.to_string_lossy(),
+            "--query",
+            "Q(x) :- Employee(x, y)",
+        ]);
+        assert_eq!(code, 0, "{single}");
+        assert!(
+            single.contains("strategy: factored repair enumeration over 1 conflict component ("),
+            "{single}"
         );
         assert!(
             out.contains("folded 4 component-local repairs, not 4"),

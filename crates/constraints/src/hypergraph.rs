@@ -1169,21 +1169,6 @@ impl ConflictHypergraph {
             .map(|h| self.nodes.difference(&h).copied().collect())
             .collect()
     }
-
-    /// Budget-aware [`Self::maximal_independent_sets`]; same soundness
-    /// contract as [`Self::minimal_hitting_sets_budgeted`] (a truncated
-    /// result is a subset of the true S-repair family).
-    pub fn maximal_independent_sets_budgeted(
-        &self,
-        limit: Option<usize>,
-        budget: &Budget,
-    ) -> Outcome<Vec<BTreeSet<Tid>>> {
-        self.minimal_hitting_sets_budgeted(limit, budget).map(|hs| {
-            hs.into_iter()
-                .map(|h| self.nodes.difference(&h).copied().collect())
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]

@@ -12,25 +12,32 @@
 //! don't join" behaviour. Certain answers containing a null are discarded —
 //! a null is not a certain value.
 //!
-//! Every answer over a list of repairs — certain and possible answers, a
-//! certainly-true Boolean query, aggregate ranges (§3.1–3.2) — is one fold
+//! Every answer over a list of repairs — certain and possible answers and
+//! aggregate ranges (§3.1–3.2) — is one fold
 //! over that list, and one private driver runs them all, budgeted or not
 //! (the unbudgeted entry points pass `Budget::unlimited()`). Since the
 //! repair class can be exponentially large (§3.1), the driver spreads
 //! per-repair query evaluation across the `cqa-exec` pool in chunks and
 //! folds the results in repair order, so results are byte-identical at
 //! every thread count.
+//!
+//! For denial-class Σ under a deletion-based class every budgeted read, and
+//! `certainly_true`, goes through the conflict-component factorization at
+//! any component count: a consistent instance is a product of no factors
+//! and a single conflict component a product of one.
 
 // audit:exponential — folds over the (worst-case exponential) repair family; every search loop must thread a Budget.
 use crate::attr_repair::attribute_repairs;
-use crate::crepair::{c_repairs_budgeted, denial_class_c_repairs};
+use crate::crepair::c_repairs_budgeted;
 use crate::factored::{Factorization, ProductDeltas};
 use crate::repair::Repair;
-use crate::srepair::{denial_class_s_repairs, s_repairs_budgeted, RepairOptions};
+use crate::srepair::{s_repairs_budgeted, RepairOptions};
 use cqa_constraints::{ConflictComponents, ConflictHypergraph, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
 use cqa_query::eval::{for_each_witness_vids, AnswerKeys};
-use cqa_query::{eval_aggregate, eval_ucq, AggOp, AggregateQuery, NullSemantics, UnionQuery};
+use cqa_query::{
+    eval_aggregate, eval_ucq, AggOp, AggregateQuery, ConjunctiveQuery, NullSemantics, UnionQuery,
+};
 use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -117,10 +124,9 @@ pub(crate) enum Side {
 
 /// One CQA answer as a fold over a list of repairs (§3.1–3.2): what each
 /// repair contributes, how contributions combine, and when the result is
-/// settled, that is, when no later repair can change it. There are four
+/// settled, that is, when no later repair can change it. There are three
 /// cases: certain answers (an intersection, settled when empty), possible
-/// answers (a union, never settled), a certainly-true Boolean query (a
-/// conjunction, settled at the first `false`) and aggregate ranges.
+/// answers (a union, never settled) and aggregate ranges.
 trait Fold: Sync {
     /// One repair's contribution.
     type Here: Send;
@@ -176,28 +182,6 @@ impl Fold for Answers<'_> {
 
     fn settled(&self) -> bool {
         self.side == Side::Certain && self.acc.as_ref().is_some_and(BTreeSet::is_empty)
-    }
-}
-
-/// Is a Boolean query true in every repair so far?
-struct CertainlyTrue<'q> {
-    query: &'q UnionQuery,
-    all: bool,
-}
-
-impl Fold for CertainlyTrue<'_> {
-    type Here = bool;
-
-    fn eval<F: Facts + ?Sized>(&self, inst: &F) -> bool {
-        cqa_query::holds_ucq(inst, self.query, NullSemantics::Sql)
-    }
-
-    fn absorb(&mut self, holds: bool) {
-        self.all &= holds;
-    }
-
-    fn settled(&self) -> bool {
-        !self.all
     }
 }
 
@@ -339,7 +323,7 @@ pub fn repairs_of(
     sigma: &ConstraintSet,
     class: &RepairClass,
 ) -> Result<Vec<Database>, RelationError> {
-    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &Budget::unlimited())?;
+    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, &Budget::unlimited())?;
     Ok(match set.into_value() {
         RepairSet::Delta(reps) => reps.into_iter().map(Repair::into_db).collect(),
         RepairSet::Materialized(dbs) => dbs,
@@ -374,7 +358,7 @@ pub fn consistent_answers(
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
     let base = Base::Borrowed(db);
-    Ok(monolithic(base, sigma, query, class, Side::Certain, None, &unlimited)?.into_value())
+    Ok(monolithic(base, sigma, query, class, Side::Certain, &unlimited)?.into_value())
 }
 
 /// Certain answers over an explicit list of instances or repair views (used
@@ -397,7 +381,7 @@ pub fn possible_answers(
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
     let base = Base::Borrowed(db);
-    Ok(monolithic(base, sigma, query, class, Side::Possible, None, &unlimited)?.into_value())
+    Ok(monolithic(base, sigma, query, class, Side::Possible, &unlimited)?.into_value())
 }
 
 /// Possible (brave) answers over an explicit list of instances or views.
@@ -410,16 +394,43 @@ pub fn possible_over<F: Facts>(instances: &[F], query: &UnionQuery) -> BTreeSet<
 }
 
 /// Is a Boolean query certainly (consistently) true — true in *every* repair?
+///
+/// This is the certain read of the query's Boolean projection (every head
+/// emptied), routed like [`consistent_answers_budgeted`]: the query holds
+/// in every repair iff the empty answer `()` is certain. The empty answer
+/// holds no null, so SQL null semantics drops none, and the certain fold
+/// settles at the first repair without a witness. The two readings differ
+/// only over an empty repair family (vacuous truth against no certain
+/// answer), which none of these classes produces: the empty instance
+/// satisfies every denial and tgd, so some repair always exists.
 pub fn certainly_true(
     db: &Database,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
 ) -> Result<bool, RelationError> {
+    let boolean = UnionQuery {
+        disjuncts: query
+            .disjuncts
+            .iter()
+            .map(|cq| ConjunctiveQuery {
+                head: Vec::new(),
+                ..cq.clone()
+            })
+            .collect(),
+    };
+    let base = Base::Borrowed(db);
     let unlimited = Budget::unlimited();
-    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &unlimited)?.into_value();
-    let fold = set.fold(CertainlyTrue { query, all: true }, &unlimited);
-    Ok(fold.is_none_or(|f| f.all))
+    let out = answers_budgeted(
+        base,
+        sigma,
+        &boolean,
+        class,
+        Side::Certain,
+        None,
+        &unlimited,
+    )?;
+    Ok(!out.into_value().0.is_empty())
 }
 
 /// Range-semantics CQA for scalar aggregates \[5\]: the greatest lower bound
@@ -453,15 +464,15 @@ pub fn consistent_aggregate_ranges(
     class: &RepairClass,
 ) -> Result<BTreeMap<Tuple, (Value, Value)>, RelationError> {
     let unlimited = Budget::unlimited();
-    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, None, &unlimited)?.into_value();
+    let set = repair_set_budgeted(Base::Borrowed(db), sigma, class, &unlimited)?.into_value();
     let fold = set.fold(Ranges { query, acc: None }, &unlimited);
     Ok(fold.and_then(|f| f.acc).unwrap_or_default())
 }
 
 /// Is every disjunct free of negated atoms? Negation-free UCQs (with
 /// comparisons) are monotone: adding tuples to an instance can only add
-/// answers. Monotonicity is what makes the consistent-core fallback below
-/// sound.
+/// answers. Monotonicity is what makes the truncation fallbacks `Q(core)`
+/// (certain) and `Q(D)` (possible) sound.
 fn is_monotone(query: &UnionQuery) -> bool {
     query.disjuncts.iter().all(|cq| cq.negated.is_empty())
 }
@@ -484,37 +495,6 @@ fn deletion_only_semantics(sigma: &ConstraintSet, class: &RepairClass) -> bool {
 /// conflict hyper-graph, which splits per connected component.
 fn factorable(sigma: &ConstraintSet, class: &RepairClass) -> bool {
     !matches!(class, RepairClass::AttributeNull) && sigma.is_denial_class()
-}
-
-/// The sound **under-approximation** of the certain answers used whenever a
-/// budget cuts certain-answer evaluation short: evaluate `query` over the
-/// consistent core of `db` (the tuples free of any conflict). For
-/// denial-class Σ every repair keeps the whole core, so for a monotone
-/// query, `Q(core) ⊆ Q(D')` for *every* repair `D'` — hence
-/// `Q(core) ⊆ Cons(Q, D, Σ)`. When that argument does not apply (tgds, a
-/// non-monotone query), the fallback is the empty set, which is trivially
-/// sound. `graph`, when given, is the conflict hyper-graph of `db`.
-///
-/// Note the naive alternative — intersecting `Q` over the repairs explored
-/// so far — is *not* sound for certain answers: dropping repairs from an
-/// intersection can only grow it, i.e. it over-approximates. That is why
-/// truncated runs discard the partial fold and use the core.
-fn core_certain_fallback(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-    graph: Option<&ConflictHypergraph>,
-) -> Result<BTreeSet<Tuple>, RelationError> {
-    if !factorable(sigma, class) || !is_monotone(query) {
-        return Ok(BTreeSet::new());
-    }
-    let core = match graph {
-        Some(g) => g.isolated_nodes(),
-        None => sigma.conflict_hypergraph(db)?.isolated_nodes(),
-    };
-    let conflicted: BTreeSet<Tid> = db.tids().difference(&core).copied().collect();
-    Ok(core_answers(db, &conflicted, query))
 }
 
 /// The sound **over-approximation** of the possible answers used when a
@@ -542,16 +522,14 @@ fn possible_fallback(
     }
 }
 
-/// Enumerate the chosen repair class under a budget, from `graph` (the
-/// conflict hyper-graph of the instance) when the caller has one. The
-/// attribute-null class is not yet metered during enumeration (its repair
-/// space is tamed by per-cell minimality rather than search); the
-/// query-evaluation fold on top of it still honours deadlines.
+/// Enumerate the chosen repair class under a budget. The attribute-null
+/// class is not yet metered during enumeration (its repair space is tamed
+/// by per-cell minimality rather than search); the query-evaluation fold on
+/// top of it still honours deadlines.
 fn repair_set_budgeted(
     base: Base<'_>,
     sigma: &ConstraintSet,
     class: &RepairClass,
-    graph: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<Outcome<RepairSet>, RelationError> {
     if let RepairClass::AttributeNull = class {
@@ -568,32 +546,37 @@ fn repair_set_budgeted(
         RepairClass::SubsetDeletionsOnly => RepairOptions::deletions_only(),
         _ => RepairOptions::default(),
     };
-    let repairs = match (class, graph) {
-        (RepairClass::Cardinality, Some(g)) => denial_class_c_repairs(&base, g, &options, budget)?,
-        (RepairClass::Cardinality, None) => c_repairs_budgeted(&base, sigma, &options, budget)?,
-        (_, Some(g)) => denial_class_s_repairs(&base, g, &options, budget)?,
-        (_, None) => s_repairs_budgeted(&base, sigma, &options, budget)?,
+    let repairs = match class {
+        RepairClass::Cardinality => c_repairs_budgeted(&base, sigma, &options, budget)?,
+        _ => s_repairs_budgeted(&base, sigma, &options, budget)?,
     };
     Ok(repairs.map(RepairSet::Delta))
 }
 
 /// The monolithic fold of one side over the enumerated repair class: the
-/// reference the factored folds are tested against, and the route of every
-/// unbudgeted entry. On truncation certain answers fall back to
-/// [`core_certain_fallback`] and possible answers to [`possible_fallback`].
-/// `explored` counts the enumerated repairs; the certain side reports the
-/// enumeration's own count instead when the enumeration itself was cut.
+/// route of Σ or classes outside the factorization ([`factorable`]), and
+/// the unbudgeted reference entries [`consistent_answers`] and
+/// [`possible_answers`] that the factored folds are tested against.
+///
+/// On truncation the partial fold is discarded: intersecting `Q` over the
+/// repairs explored so far is *not* sound for certain answers, since
+/// dropping repairs from an intersection can only grow it. Certain answers
+/// fall back to the empty set, which is trivially sound: a budget that can
+/// fire reaches this fold only for tgds or the attribute-null class, for
+/// which no consistent-core bound is derived. Possible answers fall back to
+/// [`possible_fallback`]. `explored` counts the enumerated repairs; the
+/// certain side reports the enumeration's own count instead when the
+/// enumeration itself was cut.
 fn monolithic(
     base: Base<'_>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
     side: Side,
-    graph: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
     let db = base.db();
-    let set = repair_set_budgeted(base, sigma, class, graph, budget)?;
+    let set = repair_set_budgeted(base, sigma, class, budget)?;
     let enumerated = set.truncation().map(|(_, n)| n);
     let set = set.into_value();
     // An exhausted budget stops the fold before its first repair.
@@ -601,10 +584,7 @@ fn monolithic(
         Some(fold) if !budget.exhausted() => Ok(Outcome::Exact(fold.into_set())),
         _ => {
             let (fallback, explored) = match side {
-                Side::Certain => (
-                    core_certain_fallback(db, sigma, query, class, graph)?,
-                    enumerated.unwrap_or(set.len() as u64),
-                ),
+                Side::Certain => (BTreeSet::new(), enumerated.unwrap_or(set.len() as u64)),
                 Side::Possible => (
                     possible_fallback(db, sigma, query, class, &set),
                     set.len() as u64,
@@ -857,10 +837,11 @@ impl WitnessSlices {
     }
 }
 
-/// `Q(core)` over the factorization — the factored sibling of
-/// [`core_certain_fallback`], reusing the already-computed components
-/// instead of re-deriving the isolated nodes. Empty for non-monotone
-/// queries (same soundness argument).
+/// `Q(core)` over the factorization: the answers over the tuples in no
+/// conflict component. Every repair keeps them all, so for a monotone query
+/// `Q(core) ⊆ Q(D')` for every repair `D'`, hence `Q(core)` is a sound
+/// under-approximation of the certain answers. Empty for non-monotone
+/// queries, where that argument does not apply.
 fn factored_core_answers(
     db: &Database,
     components: &ConflictComponents,
@@ -961,18 +942,7 @@ pub fn consistent_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
-    if !factorable(sigma, class) {
-        return Ok(None);
-    }
-    let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_with(
-        db,
-        &graph,
-        query,
-        class,
-        Side::Certain,
-        budget,
-    )))
+    factored_entry(db, sigma, query, class, Side::Certain, budget)
 }
 
 /// Component-factorized [`possible_answers_budgeted`]; see
@@ -984,18 +954,23 @@ pub fn possible_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
+    factored_entry(db, sigma, query, class, Side::Possible, budget)
+}
+
+/// The two factored entries: [`factored_with`] over a freshly built graph.
+fn factored_entry(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: &RepairClass,
+    side: Side,
+    budget: &Budget,
+) -> Result<Option<FactoredAnswers>, RelationError> {
     if !factorable(sigma, class) {
         return Ok(None);
     }
     let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_with(
-        db,
-        &graph,
-        query,
-        class,
-        Side::Possible,
-        budget,
-    )))
+    Ok(Some(factored_with(db, &graph, query, class, side, budget)))
 }
 
 /// A routed CQA result: the answer set, plus the [`Factorization`] when the
@@ -1003,13 +978,13 @@ pub fn possible_answers_factored_budgeted(
 pub(crate) type RoutedAnswers = Outcome<(BTreeSet<Tuple>, Option<Factorization>)>;
 
 /// The budgeted certain/possible route shared by
-/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`], the
-/// planner's fallback and a session's class reads. When the factorization
-/// applies ([`factorable`]) and the conflict hyper-graph has at least two
-/// components, the factored fold answers and its [`Factorization`] comes
-/// back; otherwise the monolithic fold over the enumerated repair class
-/// does. `prebuilt`, when given, is the conflict hyper-graph of the
-/// instance; either way the graph is built at most once per request.
+/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`],
+/// [`certainly_true`], the planner's fallback and a session's class reads.
+/// When the factorization applies ([`factorable`]) the factored fold
+/// answers, at any component count, and its [`Factorization`] comes back;
+/// otherwise the monolithic fold over the enumerated repair class does.
+/// `prebuilt`, when given, is the conflict hyper-graph of the instance;
+/// either way the graph is built at most once per request.
 pub(crate) fn answers_budgeted(
     base: Base<'_>,
     sigma: &ConstraintSet,
@@ -1019,33 +994,34 @@ pub(crate) fn answers_budgeted(
     prebuilt: Option<&ConflictHypergraph>,
     budget: &Budget,
 ) -> Result<RoutedAnswers, RelationError> {
+    if !factorable(sigma, class) {
+        let answers = monolithic(base, sigma, query, class, side, budget)?;
+        return Ok(answers.map(|answers| (answers, None)));
+    }
     let db = base.db();
     let owned;
     let graph = match prebuilt {
-        _ if !factorable(sigma, class) => None,
-        Some(g) => Some(g),
+        Some(g) => g,
         None => {
             owned = sigma.conflict_hypergraph(db)?;
-            Some(&owned)
+            &owned
         }
     };
-    if let Some(g) = graph.filter(|g| g.components().components.len() >= 2) {
-        let out = factored_with(db, g, query, class, side, budget);
-        return Ok(out.map(|(answers, shape)| (answers, Some(shape))));
-    }
-    let answers = monolithic(base, sigma, query, class, side, graph, budget)?;
-    Ok(answers.map(|answers| (answers, None)))
+    let out = factored_with(db, graph, query, class, side, budget);
+    Ok(out.map(|(answers, shape)| (answers, Some(shape))))
 }
 
 /// Budget-aware [`consistent_answers`]: the anytime entry point.
 ///
 /// An [`Outcome::Exact`] result equals the unbudgeted answer bit for bit.
 /// An [`Outcome::Truncated`] result is a **sound under-approximation** of
-/// the certain answers (possibly empty — see `core_certain_fallback` for
-/// when it is non-trivial); `explored` counts the repairs that were fully
-/// enumerated before the budget fired, or on the factored route (denial
-/// Σ, a deletion-based class, two or more conflict components) the
-/// components enumerated exactly.
+/// the certain answers. For denial-class Σ under a deletion-based class
+/// (S, S-deletions-only, C) the read is factored at any component count:
+/// a truncated result is `Q(core)`, the answers over the tuples in no
+/// conflict (empty for a non-monotone query), and `explored` counts the
+/// conflict components enumerated exactly. Otherwise (tgds, the
+/// attribute-null class) it is empty and `explored` counts the repairs
+/// fully enumerated before the budget fired.
 pub fn consistent_answers_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -1062,9 +1038,13 @@ pub fn consistent_answers_budgeted(
 ///
 /// An [`Outcome::Exact`] result equals the unbudgeted answer. A truncated
 /// result is a **sound over-approximation** (`Q(D)`) whenever the repair
-/// semantics is deletion-only and the query monotone; otherwise it degrades
-/// to the union over the repairs explored so far — a lower bound, which is
-/// why the outcome tag matters. Routed like [`consistent_answers_budgeted`].
+/// semantics is deletion-only and the query monotone. Routed like
+/// [`consistent_answers_budgeted`], with `explored` counted the same way.
+/// Past those bounds, on the factored route (denial-class Σ, a
+/// deletion-based class) a truncated non-monotone read is empty; on the
+/// monolithic one (tgds, the attribute-null class) it is the union over
+/// the repairs explored so far. Either is a lower bound, which is why the
+/// outcome tag matters.
 pub fn possible_answers_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
@@ -1464,7 +1444,8 @@ mod tests {
     }
 
     /// One key group of three salaries plus two clean rows: a single
-    /// conflict component, so the budgeted entries take the monolithic fold.
+    /// conflict component, which the budgeted entries fold as a product of
+    /// one factor.
     fn one_component_employee() -> (Database, ConstraintSet) {
         let (mut db, sigma) = employee();
         db.insert("Employee", tuple!["page", 9000]).unwrap();
@@ -1533,13 +1514,15 @@ mod tests {
         })
     }
 
-    /// Pins where a step budget cuts each per-repair fold, and the whole
-    /// `Outcome` it then reports: the monolithic certain and possible folds
-    /// over hitting-set repairs and over the general search (whose two
-    /// sides count `explored` differently once the search is cut), and the
-    /// lazy-product fold. The employee components are block-shaped (a K₃
-    /// key group, and single edges), so their families are read off the
-    /// classes at one tick per set rather than searched.
+    /// Pins where a step budget cuts each fold, and the whole `Outcome` it
+    /// then reports: the witness-slice fold over one component, the
+    /// monolithic certain and possible folds over the general search (whose
+    /// two sides count `explored` differently once the search is cut), and
+    /// the lazy-product fold. The employee components are block-shaped (a
+    /// K₃ key group, and single edges), so their families are read off the
+    /// classes at one tick per set rather than searched; the fold then
+    /// ticks once per set again, and `explored` counts the components
+    /// enumerated exactly.
     #[test]
     fn step_budgets_cut_every_fold_at_pinned_points() {
         let q = |text| UnionQuery::single(parse_query(text).unwrap());
@@ -1548,18 +1531,16 @@ mod tests {
         assert_eq!(
             routed(&db, &sigma, &names, Side::Certain, RepairClass::Subset),
             [
-                "1: step-limit 1: (smith) (stowe)",
-                "2: step-limit 2: (smith) (stowe)",
-                "3: step-limit 3: (smith) (stowe)",
+                "1: step-limit 0: (smith) (stowe)",
+                "3: step-limit 1: (smith) (stowe)",
                 "6: exact: (page) (smith) (stowe)",
             ]
         );
         assert_eq!(
             routed(&db, &sigma, &names, Side::Possible, RepairClass::Subset),
             [
-                "1: step-limit 1: (page) (smith) (stowe)",
-                "2: step-limit 2: (page) (smith) (stowe)",
-                "3: step-limit 3: (page) (smith) (stowe)",
+                "1: step-limit 0: (page) (smith) (stowe)",
+                "3: step-limit 1: (page) (smith) (stowe)",
                 "6: exact: (page) (smith) (stowe)",
             ]
         );
@@ -1567,9 +1548,7 @@ mod tests {
             routed(&db, &sigma, &names, Side::Certain, RepairClass::Cardinality),
             [
                 "1: step-limit 0: (smith) (stowe)",
-                "2: step-limit 1: (smith) (stowe)",
-                "3: step-limit 2: (smith) (stowe)",
-                "4: step-limit 3: (smith) (stowe)",
+                "4: step-limit 1: (smith) (stowe)",
                 "7: exact: (page) (smith) (stowe)",
             ]
         );
@@ -1583,9 +1562,7 @@ mod tests {
             ),
             [
                 "1: step-limit 0: (page) (smith) (stowe)",
-                "2: step-limit 1: (page) (smith) (stowe)",
-                "3: step-limit 2: (page) (smith) (stowe)",
-                "4: step-limit 3: (page) (smith) (stowe)",
+                "4: step-limit 1: (page) (smith) (stowe)",
                 "7: exact: (page) (smith) (stowe)",
             ]
         );

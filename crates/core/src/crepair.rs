@@ -3,7 +3,9 @@
 //! Every C-repair is an S-repair (a strictly smaller delta would contradict
 //! cardinality minimality), so the general path filters the S-repair set; for
 //! denial-class Σ the minimum-hitting-set branch-and-bound of
-//! `cqa-constraints` avoids enumerating all S-repairs first.
+//! `cqa-constraints` avoids enumerating all S-repairs first. It runs per
+//! conflict component at any component count: the global minima are the
+//! products of the per-component minima.
 
 // audit:exponential — minimum-cardinality search over the repair lattice; every search loop must thread a Budget.
 use crate::repair::{sort_by_delta, Repair};
@@ -69,15 +71,11 @@ pub(crate) fn denial_class_c_repairs(
     options: &RepairOptions,
     budget: &Budget,
 ) -> Result<Outcome<Vec<Repair>>, RelationError> {
-    // Factored path: per-component minimum hitting sets (each later size
-    // proof seeded by nothing — they are independent — but enumeration
-    // runs at the proven size directly), crossed only at the end. The
-    // global minima are exactly those products, so output is
-    // byte-identical. Same gate rationale as `denial_class_s_repairs`.
-    if options.limit.is_none()
-        && !budget.forces_sequential()
-        && graph.components().components.len() >= 2
-    {
+    // The global minima are exactly the products of the per-component
+    // minimum families, so the output is byte-identical to one search
+    // over the whole graph; a logical cap keeps that search, as in
+    // `denial_class_s_repairs`.
+    if options.limit.is_none() && !budget.forces_sequential() {
         let factored = crate::factored::FactoredRepairSet::enumerate_minimum(db, graph, budget);
         let repairs = factored.value().expand_budgeted(budget)?;
         let explored = repairs.len() as u64;
@@ -98,21 +96,26 @@ pub(crate) fn denial_class_c_repairs(
 /// (`|D Δ D'|` for any C-repair; 0 iff `db ⊨ sigma`).
 pub fn min_repair_distance(db: &Database, sigma: &ConstraintSet) -> Result<usize, RelationError> {
     if sigma.is_denial_class() {
-        let graph = sigma.conflict_hypergraph(db)?;
-        let components = graph.components();
-        if components.components.len() >= 2 {
-            // Global minimum = Σ of per-component minima (components are
-            // independent), each solved by a much smaller branch-and-bound.
-            return Ok(components
-                .minimum_hitting_set_size_budgeted(&Budget::unlimited())
-                .into_value());
-        }
-        return Ok(graph.minimum_hitting_set_size());
+        return minimum_deletions(db, sigma);
     }
     Ok(c_repairs(db, sigma)?
         .first()
         .map(Repair::delta_size)
         .unwrap_or(0))
+}
+
+/// The fewest deletions that remove every violation of Σ's denials: the
+/// sum of the per-component minimum hitting-set sizes of the conflict
+/// hyper-graph (edges never cross components, so the minima add).
+pub(crate) fn minimum_deletions(
+    db: &Database,
+    sigma: &ConstraintSet,
+) -> Result<usize, RelationError> {
+    Ok(sigma
+        .conflict_hypergraph(db)?
+        .components()
+        .minimum_hitting_set_size_budgeted(&Budget::unlimited())
+        .into_value())
 }
 
 #[cfg(test)]

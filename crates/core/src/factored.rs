@@ -21,6 +21,10 @@
 //! of the query's witnesses, sliced by component, is folded over the
 //! `Σ_c |family_c|` local deletion sets instead of evaluating the query
 //! over `∏_c |family_c|` repairs.
+//!
+//! Every denial-class consumer takes this form at any component count: a
+//! consistent instance is a product of no factors, a lone component a
+//! product of one.
 
 // audit:exponential — per-component repair families multiply out; every search loop must thread a Budget.
 use crate::repair::Repair;

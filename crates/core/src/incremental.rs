@@ -10,7 +10,9 @@
 //! neighbourhood.
 
 use crate::repair::Repair;
+use crate::srepair::{denial_class_s_repairs, RepairOptions};
 use cqa_constraints::{ConflictHypergraph, ConstraintSet};
+use cqa_exec::Budget;
 use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -57,15 +59,12 @@ pub fn repairs_after_insert(
     debug_assert_eq!(violations, sigma.denial_violations(&*updated)?);
 
     let graph = ConflictHypergraph::new(updated.tids(), violations);
-    let mut repairs = Vec::new();
-    for hs in graph.minimal_hitting_sets(None) {
-        repairs.push(Repair::from_delta(&updated, hs, Vec::new())?);
-    }
-    crate::repair::sort_by_delta(&mut repairs);
+    let options = RepairOptions::default();
+    let repairs = denial_class_s_repairs(&updated, &graph, &options, &Budget::unlimited())?;
     Ok(IncrementalRepairs {
         updated,
         new_tids,
-        repairs,
+        repairs: repairs.into_value(),
     })
 }
 

@@ -20,8 +20,7 @@ pub fn inconsistency_degree(db: &Database, sigma: &ConstraintSet) -> Result<f64,
     if n == 0 {
         return Ok(0.0);
     }
-    let graph = sigma.conflict_hypergraph(db)?;
-    Ok(graph.minimum_hitting_set_size() as f64 / n as f64)
+    Ok(crate::crepair::minimum_deletions(db, sigma)? as f64 / n as f64)
 }
 
 /// The core gap: fraction of tuples that do *not* persist across all

@@ -6,7 +6,8 @@
 //!    query is a self-join-free CQ with an acyclic attack graph, and no
 //!    relation the query reads holds a SQL null — evaluated directly on the
 //!    inconsistent instance, no repairs;
-//! 2. **repair enumeration** otherwise (the reference semantics).
+//! 2. **repair enumeration** otherwise (the reference semantics), per
+//!    conflict component when Σ is denial-class.
 //!
 //! The chosen strategy is reported so callers can log/inspect it, mirroring
 //! how ConsEx surfaced its magic-set rewriting decisions.
@@ -27,7 +28,8 @@ use std::collections::BTreeSet;
 pub enum Strategy {
     /// Evaluated a certain FO rewriting on the inconsistent instance.
     FoRewriting,
-    /// Enumerated repairs and intersected answers.
+    /// Enumerated repairs and intersected answers: Σ with tgds, whose
+    /// repairs do not factor per conflict component.
     RepairEnumeration {
         /// Why rewriting was not used.
         reason: String,
@@ -305,11 +307,6 @@ fn fallback(
     // snapshot its counters so A008 can report this fold's delta.
     let cache_on = cqa_exec::plan_cache_enabled();
     let cache_before = cqa_query::plan_cache_stats();
-    // With ≥ 2 conflict components the repair family is a cross-product of
-    // independent per-component families, so enumeration and the certain
-    // fold run per component (see `cqa-core::factored`). Single-component
-    // instances keep the monolithic path — the factorization would be the
-    // identity.
     let out = answers_budgeted(
         base,
         sigma,
@@ -394,12 +391,15 @@ fn factorization_diagnostic(f: &Factorization) -> Diagnostic {
         Some(p) => p.to_string(),
         None => "> usize::MAX".to_string(),
     };
+    let components = match f.components {
+        1 => "1 component".to_string(),
+        n => format!("{n} independent components"),
+    };
     Diagnostic::new(
         DiagCode::ConflictComponents,
         format!(
-            "conflict hyper-graph has {} independent components (largest: {} tuples): \
+            "conflict hyper-graph has {components} (largest: {} tuples): \
              folded {} component-local repairs instead of a product of {}{}",
-            f.components,
             f.largest,
             f.factored_repairs,
             product,
@@ -477,8 +477,12 @@ mod tests {
                 crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
             assert_eq!(planned.answers, reference, "{text}");
             match &planned.strategy {
-                Strategy::RepairEnumeration { reason } => {
+                Strategy::FactoredEnumeration {
+                    reason,
+                    factorization,
+                } => {
                     assert!(reason.contains("relation R holds SQL nulls"), "{reason}");
+                    assert_eq!(factorization.components, 1, "{text}");
                 }
                 other => panic!("{text}: expected repair enumeration, got {other:?}"),
             }
@@ -502,7 +506,7 @@ mod tests {
         let q = UnionQuery::single(parse_query("Q() :- R(x, y), S(y, x)").unwrap());
         let planned = answer_consistently(&db, &sigma, &q).unwrap();
         match &planned.strategy {
-            Strategy::RepairEnumeration { reason } => {
+            Strategy::FactoredEnumeration { reason, .. } => {
                 assert!(reason.contains("coNP"), "reason: {reason}");
             }
             other => panic!("expected fallback, got {other:?}"),
@@ -521,9 +525,21 @@ mod tests {
         let planned = answer_consistently(&db, &sigma, &q).unwrap();
         assert!(matches!(
             planned.strategy,
-            Strategy::RepairEnumeration { .. }
+            Strategy::FactoredEnumeration { .. }
         ));
         assert!(planned.answers.is_empty()); // each singleton repair differs
+                                             // One conflict component is a factorization with one factor.
+        let a006 = planned
+            .diagnostics
+            .iter()
+            .find(|d| d.code == DiagCode::ConflictComponents)
+            .expect("A006 diagnostic");
+        assert!(
+            a006.message
+                .starts_with("conflict hyper-graph has 1 component (largest: 2 tuples)"),
+            "{}",
+            a006.message
+        );
     }
 
     #[test]
@@ -550,7 +566,7 @@ mod tests {
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
         let planned = answer_consistently(&db, &sigma, &q).unwrap();
         match &planned.strategy {
-            Strategy::RepairEnumeration { reason } => {
+            Strategy::FactoredEnumeration { reason, .. } => {
                 assert!(reason.contains("fd-is-key"), "reason: {reason}");
             }
             other => panic!("expected fallback, got {other:?}"),
@@ -578,7 +594,7 @@ mod tests {
         let q = cqa_query::parse_ucq("Q(x) :- Employee(x, y)\nQ(x) :- Employee(x, 3000)").unwrap();
         let planned = answer_consistently(&db, &sigma, &q).unwrap();
         match &planned.strategy {
-            Strategy::RepairEnumeration { reason } => assert!(reason.contains("union")),
+            Strategy::FactoredEnumeration { reason, .. } => assert!(reason.contains("union")),
             other => panic!("unexpected: {other:?}"),
         }
     }

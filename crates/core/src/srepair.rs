@@ -6,7 +6,9 @@
 //! * **Denial-class fast path** — when Σ contains only denial-class
 //!   constraints (DCs, FDs, keys, CFDs), deletions are the only useful
 //!   actions and S-repairs are exactly the complements of minimal hitting
-//!   sets of the conflict hyper-graph.
+//!   sets of the conflict hyper-graph, enumerated per conflict component
+//!   and crossed at the end at any component count. Only a listing with a
+//!   `limit` or a logical cap keeps one search over the whole graph.
 //! * **General search** — with tgds in Σ, violations may be fixed by
 //!   *insertions* too (Example 2.1's two repairs). The engine explores the
 //!   delta space: pick the first violation of the current candidate, branch
@@ -195,18 +197,15 @@ pub(crate) fn denial_class_s_repairs(
         reduced = ConflictHypergraph::new(graph.nodes.clone(), edges);
         &reduced
     };
-    // Factored path: enumerate per conflict component and expand the
-    // cross-product at the end. The search cost drops from product-shaped to
-    // `Σ_c cost(c)` while the output stays byte-identical (the global minimal
-    // hitting sets are exactly the unions of one local set per component).
-    // Not taken with a `limit` (legacy sequential-DFS prefix semantics) or a
-    // step/item budget (whose deterministic truncation order callers rely
-    // on); deadline budgets are fine — a truncated expansion is still a
-    // sound subset of the true family.
-    if options.limit.is_none()
-        && !budget.forces_sequential()
-        && graph.components().components.len() >= 2
-    {
+    // Every repair is one minimal hitting set per conflict component, so
+    // the families are enumerated per component and the cross-product is
+    // expanded at the end, byte-identical to one search over the whole
+    // graph at any component count. A `limit` or a logical cap keeps that
+    // whole-graph DFS: its prefix and item cap mean "the first N repairs
+    // found", while the families charge one item per component-local set,
+    // so a cap would latch inside them before the expansion listed one
+    // repair. A deadline's truncated expansion is still a sound subset.
+    if options.limit.is_none() && !budget.forces_sequential() {
         let factored = crate::factored::FactoredRepairSet::enumerate_minimal(db, graph, budget);
         let repairs = factored.value().expand_budgeted(budget)?;
         let explored = repairs.len() as u64;

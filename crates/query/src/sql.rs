@@ -147,6 +147,9 @@ impl<'a> Scope<'a> {
                     Ok(format!("NOT ({inner})"))
                 }
             }
+            // The empty conjunction is true; the key rewriting emits it
+            // when an atom has no non-key position to compare.
+            Fo::And(parts) if parts.is_empty() => Ok("TRUE".to_string()),
             Fo::And(parts) if !has_atoms(fo) => {
                 let rendered: Vec<String> = parts
                     .iter()
@@ -190,8 +193,12 @@ impl<'a> Scope<'a> {
 }
 
 /// Render an [`FoQuery`] of the rewriting fragment as SQL against the
-/// schemas of `db`. Boolean queries render as `SELECT EXISTS (…)`.
-pub fn fo_to_sql(q: &FoQuery, db: &Database) -> Result<String, RelationError> {
+/// schemas of `db`, selecting `head`: one select item per head term, in
+/// head order, a variable (one of `q.free`) as the column it binds and a
+/// constant as its literal. The FO rewriting of a conjunctive query keeps
+/// only the head's variables, so its caller passes the query's head. An
+/// empty head renders as `SELECT EXISTS (…)`.
+pub fn fo_to_sql(q: &FoQuery, head: &[Term], db: &Database) -> Result<String, RelationError> {
     let mut counter = 0usize;
     let mut scope = Scope {
         db,
@@ -201,40 +208,37 @@ pub fn fo_to_sql(q: &FoQuery, db: &Database) -> Result<String, RelationError> {
         bindings: BTreeMap::new(),
     };
     scope.add(&q.formula)?;
-
-    if q.free.is_empty() {
-        // Boolean query.
-        let mut s = String::from("SELECT EXISTS (SELECT 1 FROM ");
-        if scope.from.is_empty() {
-            return Err(RelationError::Parse(
-                "SQL rendering: query has no atoms".into(),
-            ));
-        }
-        s.push_str(&scope.from.join(", "));
-        if !scope.conditions.is_empty() {
-            s.push_str(" WHERE ");
-            s.push_str(&scope.conditions.join(" AND "));
-        }
-        s.push(')');
-        return Ok(s);
+    if scope.from.is_empty() {
+        return Err(RelationError::Parse(
+            "SQL rendering: query has no atoms".into(),
+        ));
     }
-
-    let mut select_items = Vec::with_capacity(q.free.len());
-    for v in &q.free {
-        let col = scope.bindings.get(v).ok_or_else(|| {
-            RelationError::Parse(format!(
-                "SQL rendering: free variable `{}` not bound by an atom",
-                q.vars.name(*v)
-            ))
-        })?;
-        select_items.push(format!("{col} AS {}", q.vars.name(*v)));
-    }
-    let mut s = String::from("SELECT DISTINCT ");
-    s.push_str(&select_items.join(", "));
-    s.push_str(" FROM ");
-    s.push_str(&scope.from.join(", "));
+    let mut s = if head.is_empty() {
+        String::from("SELECT EXISTS (SELECT 1")
+    } else {
+        let mut select_items = Vec::with_capacity(head.len());
+        for term in head {
+            select_items.push(match term {
+                Term::Const(c) => sql_literal(c),
+                Term::Var(v) => {
+                    let col = scope.bindings.get(v).ok_or_else(|| {
+                        RelationError::Parse(format!(
+                            "SQL rendering: free variable `{}` not bound by an atom",
+                            q.vars.name(*v)
+                        ))
+                    })?;
+                    format!("{col} AS {}", q.vars.name(*v))
+                }
+            });
+        }
+        format!("SELECT DISTINCT {}", select_items.join(", "))
+    };
+    let _ = write!(s, " FROM {}", scope.from.join(", "));
     if !scope.conditions.is_empty() {
         let _ = write!(s, " WHERE {}", scope.conditions.join(" AND "));
+    }
+    if head.is_empty() {
+        s.push(')');
     }
     Ok(s)
 }
@@ -242,8 +246,14 @@ pub fn fo_to_sql(q: &FoQuery, db: &Database) -> Result<String, RelationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::VarTable;
     use crate::parser::parse_fo;
     use cqa_relation::{tuple, RelationSchema};
+
+    /// The head of a parsed FO query: its free variables.
+    fn head(q: &FoQuery) -> Vec<Term> {
+        q.free.iter().map(|&v| Term::Var(v)).collect()
+    }
 
     fn employee_db() -> Database {
         let mut db = Database::new();
@@ -257,7 +267,7 @@ mod tests {
     fn example_3_4_renders_the_papers_sql() {
         // Q'(x, y): Employee(x, y) ∧ ¬∃z(Employee(x, z) ∧ z ≠ y)
         let q = parse_fo("x, y : Employee(x, y) & !exists z (Employee(x, z) & z != y)").unwrap();
-        let sql = fo_to_sql(&q, &employee_db()).unwrap();
+        let sql = fo_to_sql(&q, &head(&q), &employee_db()).unwrap();
         assert_eq!(
             sql,
             "SELECT DISTINCT t1.Name AS x, t1.Salary AS y FROM Employee AS t1 \
@@ -272,7 +282,7 @@ mod tests {
         db.create_relation(RelationSchema::new("Dept", ["Name", "Unit"]))
             .unwrap();
         let q = parse_fo("x : exists y (Employee(x, y) & Dept(x, 'cs'))").unwrap();
-        let sql = fo_to_sql(&q, &db).unwrap();
+        let sql = fo_to_sql(&q, &head(&q), &db).unwrap();
         assert_eq!(
             sql,
             "SELECT DISTINCT t1.Name AS x FROM Employee AS t1, Dept AS t2 \
@@ -283,7 +293,7 @@ mod tests {
     #[test]
     fn boolean_query_renders_exists() {
         let q = parse_fo("exists x, y (Employee(x, y))").unwrap();
-        let sql = fo_to_sql(&q, &employee_db()).unwrap();
+        let sql = fo_to_sql(&q, &head(&q), &employee_db()).unwrap();
         assert_eq!(sql, "SELECT EXISTS (SELECT 1 FROM Employee AS t1)");
     }
 
@@ -298,7 +308,7 @@ mod tests {
             .unwrap();
         let q =
             parse_fo("x : exists y (R(x, y) & !exists z (R(x, z) & !exists w (S(z, w))))").unwrap();
-        let sql = fo_to_sql(&q, &db).unwrap();
+        let sql = fo_to_sql(&q, &head(&q), &db).unwrap();
         assert!(sql.contains("NOT EXISTS (SELECT 1 FROM R AS t2"));
         assert!(sql.contains("NOT EXISTS (SELECT 1 FROM S AS t3"));
     }
@@ -311,7 +321,7 @@ mod tests {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("Emp", ["A", "B"]))
             .unwrap();
-        let sql = fo_to_sql(&q, &db).unwrap();
+        let sql = fo_to_sql(&q, &head(&q), &db).unwrap();
         assert_eq!(
             sql,
             "SELECT DISTINCT t1.A AS x FROM Emp AS t1 \
@@ -327,7 +337,7 @@ mod tests {
         // (The query parser has no quote-escape syntax; the escaping under
         // test is the *renderer's*, exercised directly below.)
         let q2 = parse_fo("x : P(x)").unwrap();
-        let sql = fo_to_sql(&q2, &db).unwrap();
+        let sql = fo_to_sql(&q2, &head(&q2), &db).unwrap();
         assert_eq!(sql, "SELECT DISTINCT t1.N AS x FROM P AS t1");
         assert_eq!(sql_literal(&Value::str("o'brien")), "'o''brien'");
     }
@@ -335,13 +345,102 @@ mod tests {
     #[test]
     fn unknown_relation_is_an_error() {
         let q = parse_fo("x : Nothing(x)").unwrap();
-        assert!(fo_to_sql(&q, &employee_db()).is_err());
+        assert!(fo_to_sql(&q, &head(&q), &employee_db()).is_err());
     }
 
     #[test]
     fn disjunction_rejected_with_clear_message() {
         let q = parse_fo("x : Employee(x, 'a') | Employee(x, 'b')").unwrap();
-        let e = fo_to_sql(&q, &employee_db()).unwrap_err();
+        let e = fo_to_sql(&q, &head(&q), &employee_db()).unwrap_err();
         assert!(e.to_string().contains("disjunction"));
+    }
+
+    /// The key rewriting of a query over `R(x, y)` under `key R(K)`, as the
+    /// rewriter emits it: `∃x ∃y (R(x, y) ∧ ¬∃v (R(x, v) ∧ ¬⋀∅))`, with `x`
+    /// free when `x_free`. `y` is existential, so no position outside the
+    /// key is compared and the innermost conjunction is empty.
+    fn key_rewriting(x_free: bool) -> (FoQuery, Var) {
+        let mut vars = VarTable::new();
+        let (x, y, v) = (vars.var("x"), vars.var("y"), vars.var("v"));
+        let r = |a, b| Fo::Atom(Atom::new("R", vec![Term::Var(a), Term::Var(b)]));
+        let blocked = Fo::Exists(
+            vec![v],
+            Box::new(Fo::And(vec![r(x, v), Fo::Not(Box::new(Fo::And(vec![])))])),
+        );
+        let body = Fo::And(vec![r(x, y), Fo::Not(Box::new(blocked))]);
+        let bound = if x_free { vec![y] } else { vec![x, y] };
+        let free = if x_free { vec![x] } else { vec![] };
+        let formula = Fo::Exists(bound, Box::new(body));
+        (
+            FoQuery {
+                vars,
+                free,
+                formula,
+            },
+            x,
+        )
+    }
+
+    /// The select items of `sql`, split at its top-level commas.
+    fn select_items(sql: &str) -> Vec<&str> {
+        let list = sql
+            .strip_prefix("SELECT DISTINCT ")
+            .and_then(|rest| rest.split(" FROM ").next())
+            .unwrap_or_default();
+        list.split(", ").collect()
+    }
+
+    fn balanced(sql: &str) -> bool {
+        let mut depth = 0i32;
+        for c in sql.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            if depth < 0 {
+                return false;
+            }
+        }
+        depth == 0
+    }
+
+    #[test]
+    fn key_rewritings_render_every_head_term_and_no_empty_parentheses() {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("R", ["K", "V"]))
+            .unwrap();
+        let seven = Term::Const(Value::Int(7));
+        // Q(x) :- R(x, y), Q(x, 7) :- R(x, y) and Q(7) :- R(x, y).
+        let (with_x, x) = key_rewriting(true);
+        let (without_x, _) = key_rewriting(false);
+        let cases = [
+            (&with_x, vec![Term::Var(x)], vec!["t1.K AS x"]),
+            (
+                &with_x,
+                vec![Term::Var(x), seven.clone()],
+                vec!["t1.K AS x", "7"],
+            ),
+            (&without_x, vec![seven], vec!["7"]),
+        ];
+        for (q, head, items) in cases {
+            let sql = fo_to_sql(q, &head, &db).unwrap();
+            assert!(!sql.contains("()"), "{sql}");
+            assert!(balanced(&sql), "{sql}");
+            assert_eq!(select_items(&sql), items, "{sql}");
+            assert!(
+                sql.ends_with(
+                    " FROM R AS t1 WHERE NOT EXISTS (SELECT 1 FROM R AS t2 \
+                     WHERE t2.K = t1.K AND NOT (TRUE))"
+                ),
+                "{sql}"
+            );
+        }
+        let (q, _) = key_rewriting(false);
+        assert_eq!(
+            fo_to_sql(&q, &[], &db).unwrap(),
+            "SELECT EXISTS (SELECT 1 FROM R AS t1 WHERE NOT EXISTS \
+             (SELECT 1 FROM R AS t2 WHERE t2.K = t1.K AND NOT (TRUE)))"
+        );
     }
 }

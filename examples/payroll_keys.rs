@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // run on any DBMS against the original, inconsistent table:
     println!(
         "\nAs SQL:\n  {}",
-        inconsistent_db::query::fo_to_sql(&rewritten, &db)?
+        inconsistent_db::query::fo_to_sql(&rewritten, &q1.head, &db)?
     );
 
     // The attack-graph test: a two-atom chain query is rewritable…

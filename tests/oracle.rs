@@ -18,6 +18,17 @@
 //! S(y)` denial joins key groups into paths such as s₁–r₁–r₂–s₂ that the
 //! hitting-set search answers. The library test counts both kinds.
 //!
+//! Under random step budgets and a born-expired deadline, every budgeted
+//! library route and every session read is checked against the same
+//! definitions: an exact outcome equals them, a truncated certain set is a
+//! subset of the certain answers, a truncated possible set a superset of
+//! the possible answers for a monotone query (every class here repairs by
+//! deletions only, where the entries promise `Q(D)`) and a subset
+//! otherwise, and a truncated listing holds definition repairs only. That
+//! test counts the instances with zero, one and several conflict
+//! components it reaches, since a budgeted denial-class read folds per
+//! component at any count.
+//!
 //! The answers the witness-slice fold builds are ids of interned head keys.
 //! The queries include a union whose disjuncts share answers, so that one
 //! answer reached through two disjuncts must take one id, and a constant
@@ -26,11 +37,12 @@
 
 use cqa_constraints::{ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
-    answer_consistently, c_repairs, certainly_true, consistent_aggregate_range,
-    consistent_aggregate_ranges, consistent_answers, consistent_answers_budgeted, iar_answers,
-    possible_answers, possible_answers_budgeted, s_repairs, CqaSession, RepairClass,
+    answer_consistently, answer_consistently_budgeted, c_repairs, c_repairs_budgeted,
+    certainly_true, consistent_aggregate_range, consistent_aggregate_ranges, consistent_answers,
+    consistent_answers_budgeted, iar_answers, possible_answers, possible_answers_budgeted,
+    s_repairs, s_repairs_budgeted, CqaSession, RepairClass, RepairOptions,
 };
-use cqa_exec::Budget;
+use cqa_exec::{Budget, Outcome};
 use cqa_query::{
     eval_aggregate, eval_ucq, holds, parse_query, parse_ucq, AggOp, AggregateQuery, NullSemantics,
     UnionQuery,
@@ -39,9 +51,10 @@ use cqa_relation::{Database, RelationSchema, Tid, Tuple, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// Random instances per test. One debug-build run of this file stays
-/// within a few seconds.
+/// Random instances per test. One debug-build run of this file takes
+/// about ten seconds on two cores.
 const CASES: u64 = 100;
 
 type Fact = (String, Tuple);
@@ -558,4 +571,244 @@ fn planner_and_sessions_match_the_definitions() {
         let ctx = format!("grouped case {seed}: {grouped:?} under {sigma:?}");
         check_session(&mut rng, &instance(&grouped), &sigma, strings, &ctx);
     }
+}
+
+/// What [`truncated_outcomes_match_the_definitions`] reached: the exact and
+/// truncated outcomes it checked, and the instances its budgeted routes
+/// read, by conflict-component count (zero, one, several).
+#[derive(Default)]
+struct Reached {
+    exact: usize,
+    truncated: usize,
+    components: [usize; 3],
+}
+
+impl Reached {
+    /// Count `db` by its conflict-component count.
+    fn instance(&mut self, db: &Database, sigma: &ConstraintSet) {
+        let graph = sigma.conflict_hypergraph(db).unwrap();
+        let count = graph.components().components.len();
+        if let Some(slot) = self.components.get_mut(count.min(2)) {
+            *slot += 1;
+        }
+    }
+
+    /// An answer set against the definition's `want`: equal when exact;
+    /// when truncated, a superset if `over` and a subset otherwise.
+    fn answers(
+        &mut self,
+        got: &Outcome<BTreeSet<Tuple>>,
+        want: &BTreeSet<Tuple>,
+        over: bool,
+        ctx: &str,
+    ) {
+        let got_set = got.value();
+        if got.is_exact() {
+            self.exact += 1;
+            assert_eq!(got_set, want, "exact {ctx}");
+        } else if over {
+            self.truncated += 1;
+            assert!(
+                got_set.is_superset(want),
+                "truncated {ctx}: {got_set:?} misses some of {want:?}"
+            );
+        } else {
+            self.truncated += 1;
+            assert!(
+                got_set.is_subset(want),
+                "truncated {ctx}: {got_set:?} is not within {want:?}"
+            );
+        }
+    }
+
+    /// A repair listing against the definition's `family`: every listed
+    /// repair is one of it; an exact listing holds all of it, or
+    /// `min(limit, |family|)` of it under a `limit`.
+    fn listing(
+        &mut self,
+        got: Outcome<Vec<cqa_core::Repair>>,
+        family: &[BTreeSet<Fact>],
+        limit: Option<usize>,
+        ctx: &str,
+    ) {
+        let exact = got.is_exact();
+        let count = got.value().len();
+        let listed = contents(got.into_value());
+        for repair in &listed {
+            assert!(family.contains(repair), "{ctx} lists {repair:?}");
+        }
+        if exact {
+            self.exact += 1;
+            match limit {
+                None => assert_eq!(count, family.len(), "exact {ctx}"),
+                Some(l) => assert_eq!(count, l.min(family.len()), "exact {ctx}"),
+            }
+            assert_eq!(listed.len(), count, "{ctx} lists a repair twice");
+        } else {
+            self.truncated += 1;
+        }
+    }
+}
+
+/// Does `q` read no negated atom?
+fn monotone(q: &UnionQuery) -> bool {
+    q.disjuncts.iter().all(|cq| cq.negated.is_empty())
+}
+
+/// Every budgeted library route over one instance under `budget`, against
+/// the definitions.
+fn check_library_budgeted(
+    reached: &mut Reached,
+    db: &Database,
+    sigma: &ConstraintSet,
+    budget: &dyn Fn() -> Budget,
+    ctx: &str,
+) {
+    reached.instance(db, sigma);
+    let oracle = Oracle::new(db, sigma);
+    for class in &CLASSES {
+        let repairs = oracle.repairs(class);
+        for (text, q) in queries() {
+            let ctx = format!("{text}, {class:?}, {ctx}");
+            let got = consistent_answers_budgeted(db, sigma, &q, class, &budget()).unwrap();
+            reached.answers(
+                &got,
+                &certain(&repairs, &q),
+                false,
+                &format!("certain {ctx}"),
+            );
+            let got = possible_answers_budgeted(db, sigma, &q, class, &budget()).unwrap();
+            let over = monotone(&q);
+            reached.answers(
+                &got,
+                &possible(&repairs, &q),
+                over,
+                &format!("possible {ctx}"),
+            );
+        }
+    }
+    let subset = oracle.repairs(&RepairClass::Subset);
+    for (text, q) in queries() {
+        let planned = answer_consistently_budgeted(db, sigma, &q, &budget())
+            .unwrap()
+            .map(|p| p.answers);
+        reached.answers(
+            &planned,
+            &certain(&subset, &q),
+            false,
+            &format!("planner {text}, {ctx}"),
+        );
+    }
+    let base = Arc::new(db.clone());
+    for limit in [None, Some(1), Some(2)] {
+        let options = RepairOptions {
+            limit,
+            ..RepairOptions::default()
+        };
+        let got = s_repairs_budgeted(&base, sigma, &options, &budget()).unwrap();
+        reached.listing(
+            got,
+            &oracle.s_repairs,
+            limit,
+            &format!("S-repairs {limit:?}, {ctx}"),
+        );
+    }
+    let got = c_repairs_budgeted(&base, sigma, &RepairOptions::default(), &budget()).unwrap();
+    reached.listing(got, &oracle.c_repairs, None, &format!("C-repairs, {ctx}"));
+}
+
+/// Every read of a fresh session over `db` under `budget`, against the
+/// definitions.
+fn check_session_budgeted(
+    reached: &mut Reached,
+    db: &Database,
+    sigma: &ConstraintSet,
+    budget: &dyn Fn() -> Budget,
+    ctx: &str,
+) {
+    reached.instance(db, sigma);
+    let mut session = CqaSession::new(db.clone(), sigma.clone()).unwrap();
+    let oracle = Oracle::new(db, sigma);
+    let subset = oracle.repairs(&RepairClass::Subset);
+    let card = oracle.repairs(&RepairClass::Cardinality);
+    for (text, q) in queries() {
+        let ctx = format!("session {text}, {ctx}");
+        let planned = session.certain(&q, &budget()).unwrap().map(|p| p.answers);
+        reached.answers(
+            &planned,
+            &certain(&subset, &q),
+            false,
+            &format!("certain {ctx}"),
+        );
+        let got = session
+            .certain_with_class(&q, &RepairClass::Cardinality, &budget())
+            .unwrap();
+        reached.answers(
+            &got,
+            &certain(&card, &q),
+            false,
+            &format!("C-certain {ctx}"),
+        );
+        for (class, repairs) in [
+            (RepairClass::Subset, &subset),
+            (RepairClass::Cardinality, &card),
+        ] {
+            let got = session.possible(&q, &class, &budget()).unwrap();
+            let want = possible(repairs, &q);
+            let ctx = format!("{class:?} possible {ctx}");
+            reached.answers(&got, &want, monotone(&q), &ctx);
+        }
+    }
+    for limit in [None, Some(2)] {
+        let got = session
+            .repairs(&RepairClass::Subset, limit, &budget())
+            .unwrap();
+        let ctx = format!("session S-repairs {limit:?}, {ctx}");
+        reached.listing(got, &oracle.s_repairs, limit, &ctx);
+    }
+    let got = session
+        .repairs(&RepairClass::Cardinality, None, &budget())
+        .unwrap();
+    reached.listing(
+        got,
+        &oracle.c_repairs,
+        None,
+        &format!("session C-repairs, {ctx}"),
+    );
+}
+
+#[test]
+fn truncated_outcomes_match_the_definitions() {
+    let mut reached = Reached::default();
+    for seed in 0..CASES {
+        let (facts, sigma) = case(seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0b0d_6e75);
+        let steps = rng.gen_range(1..48);
+        let grouped = grouped_facts(&mut rng, string_keys(seed));
+        for (name, budget) in [
+            (
+                "steps",
+                &(move || Budget::steps(steps)) as &dyn Fn() -> Budget,
+            ),
+            ("expired deadline", &|| Budget::deadline_ms(0)),
+        ] {
+            let ctx = format!("{name} {steps}, case {seed}: {facts:?} under {sigma:?}");
+            check_library_budgeted(&mut reached, &instance(&facts), &sigma, budget, &ctx);
+            check_session_budgeted(&mut reached, &instance(&facts), &sigma, budget, &ctx);
+            let ctx = format!("{name} {steps}, grouped case {seed}: {grouped:?}");
+            check_session_budgeted(&mut reached, &instance(&grouped), &sigma, budget, &ctx);
+        }
+    }
+    let [zero, one, several] = reached.components;
+    assert!(
+        zero > 0 && one > 0 && several > 0,
+        "the budgeted routes read {zero} instances with no conflict component, {one} with one \
+         and {several} with several"
+    );
+    assert!(
+        reached.exact > 0 && reached.truncated > 0,
+        "{} exact and {} truncated outcomes",
+        reached.exact,
+        reached.truncated
+    );
 }

@@ -52,6 +52,19 @@ fn key_instance() -> (Database, ConstraintSet) {
     (db, sigma)
 }
 
+/// One key group of four rows plus two clean rows: a single conflict
+/// component, which the budgeted reads fold as a product of one factor.
+fn one_component_instance() -> (Database, ConstraintSet) {
+    let mut db = Database::new();
+    db.create_relation(RelationSchema::new("T", ["K", "V"]))
+        .unwrap();
+    for (k, v) in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0)] {
+        db.insert("T", tuple![k, v]).unwrap();
+    }
+    let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
+    (db, sigma)
+}
+
 /// A hypergraph whose hitting-set search tree has enough branches for the
 /// queue to shuffle: 10 vertices, overlapping triples.
 fn hypergraph() -> ConflictHypergraph {
@@ -196,6 +209,28 @@ fn truncated_cqa_is_schedule_invariant() {
                 cqa_core::consistent_answers_budgeted(&db, &sigma, &q, &class, &budget).unwrap();
             (out.truncation(), out.into_value())
         });
+    }
+    // A single conflict component takes the same factored reads.
+    let (db, sigma) = one_component_instance();
+    let rows = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
+    for class in [RepairClass::Subset, RepairClass::Cardinality] {
+        for steps in STEP_BUDGETS {
+            let label = format!("one component, {class:?}, steps={steps}");
+            assert_schedule_invariant(&format!("consistent_answers {label}"), || {
+                let budget = Budget::steps(steps);
+                cqa_core::consistent_answers_budgeted(&db, &sigma, &rows, &class, &budget).unwrap()
+            });
+            assert_schedule_invariant(&format!("possible_answers {label}"), || {
+                let budget = Budget::steps(steps);
+                cqa_core::possible_answers_budgeted(&db, &sigma, &rows, &class, &budget).unwrap()
+            });
+        }
+        for text in ["Q() :- T(1, v)", "Q() :- T(0, 2)"] {
+            let boolean = UnionQuery::single(parse_query(text).unwrap());
+            assert_schedule_invariant(&format!("certainly_true {text}, {class:?}"), || {
+                cqa_core::certainly_true(&db, &sigma, &boolean, &class).unwrap()
+            });
+        }
     }
 }
 

@@ -28,9 +28,16 @@ const SIGMA: &str = "key T(K)\n";
 enum Op {
     Insert(i64, i64),
     Delete(u64),
-    Certain { steps: u64 },
+    Certain {
+        steps: u64,
+    },
     Possible,
-    Repairs { cardinality: bool, steps: u64 },
+    /// A listing, cut at `limit` repairs when given.
+    Repairs {
+        cardinality: bool,
+        steps: u64,
+        limit: Option<u64>,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -39,9 +46,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..10).prop_map(Op::Delete),
         (1u64..300).prop_map(|steps| Op::Certain { steps }),
         Just(Op::Possible),
-        ((0u8..2), (1u64..300)).prop_map(|(c, steps)| Op::Repairs {
+        ((0u8..2), (1u64..300), (0u64..4)).prop_map(|(c, steps, limit)| Op::Repairs {
             cardinality: c == 1,
             steps,
+            limit: (limit > 0).then_some(limit),
         }),
     ]
 }
@@ -65,15 +73,20 @@ fn render(op: &Op, id: u64) -> (String, String) {
             format!("/sessions/{id}/query"),
             r#"{"query": "Q(x) :- T(x, y)", "kind": "possible"}"#.to_string(),
         ),
-        Op::Repairs { cardinality, steps } => (
+        Op::Repairs {
+            cardinality,
+            steps,
+            limit,
+        } => (
             format!("/sessions/{id}/repairs"),
             format!(
-                r#"{{"class": "{}", "budget_steps": {steps}}}"#,
+                r#"{{"class": "{}", "budget_steps": {steps}{}}}"#,
                 if *cardinality {
                     "cardinality"
                 } else {
                     "subset"
-                }
+                },
+                limit.map_or_else(String::new, |n| format!(r#", "limit": {n}"#)),
             ),
         ),
     }
@@ -203,7 +216,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Direct dispatch at 1 thread ≡ TCP server at 1 thread ≡ TCP server
-    /// with concurrent clients at 4 threads, transcript-for-transcript.
+    /// with concurrent clients at 4 threads, transcript-for-transcript,
+    /// limited listings included.
     #[test]
     fn server_transcripts_match_library_path(
         sessions in vec(vec(arb_op(), 1..8), 1..4),
@@ -227,11 +241,13 @@ fn step_truncation_is_byte_identical_over_the_wire() {
         Op::Repairs {
             cardinality: false,
             steps: 1,
+            limit: None,
         },
         Op::Certain { steps: 1 },
         Op::Repairs {
             cardinality: true,
             steps: 2,
+            limit: None,
         },
     ]];
     let direct = with_threads(1, || run_direct(&ops));
