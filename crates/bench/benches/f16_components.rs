@@ -1,14 +1,14 @@
-//! F16: conflict-component factorization vs the monolithic cross-product,
-//! on the replicated key-conflict workload. With `m` independent key groups
-//! of size `g` the conflict graph has `m` components and the repair family
-//! is the `g^m` cross-product; the factored paths pay `Σ = m·g` while the
-//! monolithic ones pay `Π = g^m`. Answers are asserted byte-identical
-//! before each measurement.
+//! F16: conflict-component factorization vs the per-repair fold over the
+//! cross-product, on the replicated key-conflict workload. With `m`
+//! independent key groups of size `g` the conflict graph has `m` components
+//! and the repair family is the `g^m` cross-product; the factored paths pay
+//! `Σ = m·g` while the per-repair fold and the whole-graph search pay
+//! `Π = g^m`. Answers are asserted byte-identical before each measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cqa_bench::key_conflict_instance;
-use cqa_core::{consistent_answers_factored_budgeted, RepairClass, RepairOptions};
+use cqa_core::{RepairClass, RepairOptions};
 use cqa_exec::Budget;
 use cqa_query::{parse_query, UnionQuery};
 use std::sync::Arc;
@@ -17,34 +17,28 @@ fn query() -> UnionQuery {
     UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap())
 }
 
-/// The unbudgeted reference entry: the query folded over every repair of
-/// the full cross-product.
-fn cqa_monolithic(
+/// Certain answers by their definition: list every S-repair of the full
+/// cross-product, then fold the query over their views, one evaluation per
+/// repair.
+fn cqa_per_repair(
     db: &cqa_relation::Database,
     sigma: &cqa_constraints::ConstraintSet,
     q: &UnionQuery,
 ) -> std::collections::BTreeSet<cqa_relation::Tuple> {
-    cqa_core::consistent_answers(db, sigma, q, &RepairClass::Subset).unwrap()
+    let repairs = cqa_core::s_repairs(db, sigma).unwrap();
+    let views: Vec<_> = repairs.iter().map(|r| r.view()).collect();
+    cqa_core::certain_over(&views, q)
 }
 
-/// The component-wise certain fold: one witness scan of the query, sliced
-/// by component and folded over each component's local repair family.
+/// `consistent_answers`, the component-wise certain fold: one witness scan
+/// of the query, sliced by component and folded over each component's
+/// local repair family.
 fn cqa_factored(
     db: &cqa_relation::Database,
     sigma: &cqa_constraints::ConstraintSet,
     q: &UnionQuery,
 ) -> std::collections::BTreeSet<cqa_relation::Tuple> {
-    let out = consistent_answers_factored_budgeted(
-        db,
-        sigma,
-        q,
-        &RepairClass::Subset,
-        &Budget::unlimited(),
-    )
-    .unwrap()
-    .expect("key constraints are denial-class");
-    assert!(out.truncation().is_none());
-    out.into_value().0
+    cqa_core::consistent_answers(db, sigma, q, &RepairClass::Subset).unwrap()
 }
 
 fn bench_cqa(c: &mut Criterion) {
@@ -55,11 +49,11 @@ fn bench_cqa(c: &mut Criterion) {
     for m in [2usize, 4, 6] {
         let (db, sigma) = key_conflict_instance(20, m, 4, 1);
         assert_eq!(
-            cqa_monolithic(&db, &sigma, &q),
+            cqa_per_repair(&db, &sigma, &q),
             cqa_factored(&db, &sigma, &q)
         );
-        group.bench_with_input(BenchmarkId::new("monolithic", m), &m, |b, _| {
-            b.iter(|| cqa_monolithic(&db, &sigma, &q))
+        group.bench_with_input(BenchmarkId::new("per_repair", m), &m, |b, _| {
+            b.iter(|| cqa_per_repair(&db, &sigma, &q))
         });
         group.bench_with_input(BenchmarkId::new("factored", m), &m, |b, _| {
             b.iter(|| cqa_factored(&db, &sigma, &q))
@@ -93,10 +87,10 @@ fn bench_enumeration(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("factored_families", m), &m, |b, _| {
             b.iter(|| {
-                let out =
-                    cqa_core::factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-                        .unwrap()
-                        .expect("key constraints are denial-class");
+                let graph = sigma.conflict_hypergraph(&*base).unwrap();
+                let out = graph
+                    .components()
+                    .minimal_hitting_sets_factored(&Budget::unlimited());
                 assert!(out.truncation().is_none());
                 out.into_value().factored_len()
             })

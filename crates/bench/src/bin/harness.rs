@@ -10,7 +10,8 @@ use cqa_bench::{dc_instance, key_conflict_instance, star_instance, timed, univer
 use cqa_constraints::{ConstraintSet, DenialConstraint, FunctionalDependency, KeyConstraint};
 use cqa_core::RepairClass;
 use cqa_query::{parse_program, parse_query, AggOp, AggregateQuery, NullSemantics, UnionQuery};
-use cqa_relation::{tuple, Database, Facts, RelationSchema};
+use cqa_relation::{tuple, Database, Facts, RelationSchema, Tuple};
+use std::collections::BTreeSet;
 
 fn main() {
     // `--threads N` configures the cqa-exec pool (1 = sequential); all
@@ -425,6 +426,21 @@ fn e14() -> bool {
 
 // ---------------------------------------------------------------- F-series
 
+/// Certain answers by their definition (§3.1): list every S-repair, then
+/// fold the query over their views, one evaluation per repair.
+fn per_repair_certain(db: &Database, sigma: &ConstraintSet, q: &UnionQuery) -> BTreeSet<Tuple> {
+    let repairs = cqa_core::s_repairs(db, sigma).unwrap();
+    let views: Vec<_> = repairs.iter().map(|r| r.view()).collect();
+    cqa_core::certain_over(&views, q)
+}
+
+/// Possible answers the same way: the union over the listed S-repairs.
+fn per_repair_possible(db: &Database, sigma: &ConstraintSet, q: &UnionQuery) -> BTreeSet<Tuple> {
+    let repairs = cqa_core::s_repairs(db, sigma).unwrap();
+    let views: Vec<_> = repairs.iter().map(|r| r.view()).collect();
+    cqa_core::possible_over(&views, q)
+}
+
 fn f1_repair_explosion() {
     println!("F1: exponentially many repairs (§3.1)");
     println!("--------------------------------------");
@@ -440,6 +456,7 @@ fn f1_repair_explosion() {
 fn f2_rewriting_vs_enumeration() {
     println!("F2: FO rewriting vs repair enumeration (§3.2)");
     println!("---------------------------------------------");
+    println!("  enumeration lists every S-repair and evaluates the query on each one");
     println!("  conflicts | rewriting (ms) | enumeration (ms) | equal");
     let q = parse_query("Q(k, v) :- T(k, v)").unwrap();
     let keys: cqa_core::rewrite::keys::KeyPositions = [("T".to_string(), vec![0usize])].into();
@@ -447,15 +464,8 @@ fn f2_rewriting_vs_enumeration() {
         let (db, sigma) = key_conflict_instance(500, k, 2, 2);
         let fo = cqa_core::rewrite_key_query(&q, &keys).unwrap();
         let (via_rw, t_rw) = timed(|| cqa_query::eval_fo(&db, &fo, NullSemantics::Structural));
-        let (via_rep, t_rep) = timed(|| {
-            cqa_core::consistent_answers(
-                &db,
-                &sigma,
-                &UnionQuery::single(q.clone()),
-                &RepairClass::Subset,
-            )
-            .unwrap()
-        });
+        let (via_rep, t_rep) =
+            timed(|| per_repair_certain(&db, &sigma, &UnionQuery::single(q.clone())));
         println!(
             "  {k:>9} | {:>14.2} | {:>16.2} | {}",
             t_rw * 1e3,
@@ -746,8 +756,9 @@ fn f14_views() {
             .all(|(m, r)| r.view().snapshot().same_content(m));
     row("F1 enumerate, 12 conf, 300 clean", t_mat, t_view, equal);
 
-    // F2-shaped: certain answers over the same class — per-repair joins
-    // probe the base's shared column indexes through the views.
+    // F2-shaped: certain answers over the same class, folded per repair —
+    // per-repair joins probe the base's shared column indexes through the
+    // views.
     let q = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
     let (ans_mat, t_mat) = timed(|| {
         let dbs: Vec<Database> = cqa_core::s_repairs(&db, &sigma)
@@ -757,8 +768,7 @@ fn f14_views() {
             .collect();
         cqa_core::certain_over(&dbs, &q)
     });
-    let (ans_view, t_view) =
-        timed(|| cqa_core::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap());
+    let (ans_view, t_view) = timed(|| per_repair_certain(&db, &sigma, &q));
     row(
         "F2 CQA, 12 conf, 300 clean",
         t_mat,
@@ -766,8 +776,8 @@ fn f14_views() {
         ans_mat == ans_view,
     );
 
-    // F3-shaped: denial-constraint instance; CQA over the hitting-set
-    // repairs of a dense conflict hypergraph.
+    // F3-shaped: denial-constraint instance; CQA folded over the
+    // hitting-set repairs of a dense conflict hypergraph.
     let (db, sigma) = dc_instance(40, 16, 10, 3);
     let q = UnionQuery::single(parse_query("Q(x, y) :- R(x, y), S(y)").unwrap());
     let (ans_mat, t_mat) = timed(|| {
@@ -778,8 +788,7 @@ fn f14_views() {
             .collect();
         cqa_core::certain_over(&dbs, &q)
     });
-    let (ans_view, t_view) =
-        timed(|| cqa_core::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap());
+    let (ans_view, t_view) = timed(|| per_repair_certain(&db, &sigma, &q));
     row(
         "F3 DC CQA, 40x16 dom 10",
         t_mat,
@@ -946,51 +955,44 @@ fn f15_budgets() {
 }
 
 fn f16_components() {
-    use cqa_core::consistent_answers_factored_budgeted;
     use cqa_exec::{with_threads, Budget};
     println!("F16: conflict-component factorization — replicated F11-style workload");
     println!("----------------------------------------------------------------------");
     println!("  m independent key groups of 4 (plus 20 clean rows): the conflict");
     println!("  graph has m components, the repair family is the 4^m cross-product.");
-    println!("  The monolithic reference (unbudgeted consistent_answers) folds the");
-    println!("  query over every product repair; the factored fold slices one");
-    println!("  witness scan over the 4m component-local repairs.");
-    println!("  m | components | product | factored | monolithic (ms) | factored (ms) | speedup | equal | 1/2/8-thread identical");
+    println!("  The per-repair fold lists every product repair and evaluates the");
+    println!("  query on each one; consistent_answers slices one witness scan over");
+    println!("  the 4m component-local repairs.");
+    println!("  m | components | product | factored | per-repair (ms) | factored (ms) | speedup | equal | 1/2/8-thread identical");
     let q = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
     let class = RepairClass::Subset;
     for m in 1usize..=6 {
         let (db, sigma) = key_conflict_instance(20, m, 4, 1);
-        // Monolithic oracle: the unbudgeted reference entry folds the
-        // query over the full cross-product of repairs.
-        let (mono, t_mono) =
+        // The shape, read as `repairctl analyze --components` reads it.
+        let components = sigma.conflict_hypergraph(&db).unwrap().components();
+        let families = components.minimal_hitting_sets_factored(&Budget::unlimited());
+        assert!(families.is_exact());
+        let families = families.into_value();
+        let (per_repair, t_per_repair) = timed(|| per_repair_certain(&db, &sigma, &q));
+        let (answers, t_fact) =
             timed(|| cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap());
-        let (fact, t_fact) = timed(|| {
-            consistent_answers_factored_budgeted(&db, &sigma, &q, &class, &Budget::unlimited())
-                .unwrap()
-                .expect("key constraints are denial-class")
-        });
-        assert!(fact.truncation().is_none());
-        let (answers, info) = fact.into_value();
-        let equal = answers == mono;
+        let equal = answers == per_repair;
         let identical = [1usize, 2, 8].iter().all(|&t| {
             let got = with_threads(t, || {
-                consistent_answers_factored_budgeted(&db, &sigma, &q, &class, &Budget::unlimited())
-                    .unwrap()
-                    .expect("key constraints are denial-class")
-                    .into_value()
-                    .0
+                cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap()
             });
             got == answers
         });
         println!(
             "  {m} | {:>10} | {:>7} | {:>8} | {:>15.2} | {:>13.2} | {:>6.2}x | {equal} | {identical}",
-            info.components,
-            info.product_repairs
+            components.components.len(),
+            families
+                .product_len()
                 .map_or_else(|| "overflow".to_string(), |n| n.to_string()),
-            info.factored_repairs,
-            t_mono * 1e3,
+            families.factored_len(),
+            t_per_repair * 1e3,
             t_fact * 1e3,
-            t_mono / t_fact,
+            t_per_repair / t_fact,
         );
     }
     println!();
@@ -1059,21 +1061,16 @@ fn f17_perturbation() {
 
     let (db, sigma) = key_conflict_instance(20, 5, 3, 1);
     let q = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
-    let class = RepairClass::Subset;
 
     let hs_ref = with_threads(4, || g.minimal_hitting_sets(None));
-    let cqa_ref = with_threads(4, || {
-        cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap()
-    });
+    let cqa_ref = with_threads(4, || per_repair_certain(&db, &sigma, &q));
     let ((hs_ok, cqa_ok), t) = timed(|| {
         let hs = (1..=16u64).all(|seed| {
             with_schedule_seed(seed, || with_threads(4, || g.minimal_hitting_sets(None))) == hs_ref
         });
         let cqa = (1..=16u64).all(|seed| {
             with_schedule_seed(seed, || {
-                with_threads(4, || {
-                    cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap()
-                })
+                with_threads(4, || per_repair_certain(&db, &sigma, &q))
             }) == cqa_ref
         });
         (hs, cqa)
@@ -1083,7 +1080,7 @@ fn f17_perturbation() {
         t * 1e3
     );
     println!("  hitting-set search identical across seeds: {hs_ok}");
-    println!("  CQA fold identical across seeds: {cqa_ok}");
+    println!("  per-repair CQA fold identical across seeds: {cqa_ok}");
 }
 
 #[cfg(not(feature = "schedule-fuzz"))]
@@ -1725,16 +1722,14 @@ fn f20_percentile(sorted: &[f64], p: f64) -> f64 {
 /// (query fingerprint, content fingerprint) key. Row equality is asserted
 /// before any time is reported.
 fn f21_plan_cache() {
-    use cqa_core::{consistent_answers, possible_answers};
-
     println!("F21: cost-based planning — repair-family subplan sharing on vs off");
     println!("-------------------------------------------------------------------");
     println!("  5 000 clean keys + k conflict pairs (2^k S-repairs); certain +");
-    println!("  possible for the same query, asked 3 times per run.\n");
+    println!("  possible for the same query, each folded over the listed repairs");
+    println!("  (one evaluation per repair), asked 3 times per run.\n");
     println!("  k  | repairs | off (ms) | on (ms) | speedup | equal | hits | misses");
 
     let q = UnionQuery::single(parse_query("Q(x) :- T(x, y)").unwrap());
-    let class = RepairClass::Subset;
     let mut largest_speedup = 0.0f64;
     for k in [6usize, 8, 10] {
         let (db, sigma) = key_conflict_instance(5_000, k, 2, 21);
@@ -1744,8 +1739,8 @@ fn f21_plan_cache() {
                 timed(|| {
                     let mut last = None;
                     for _ in 0..3 {
-                        let c = consistent_answers(&db, &sigma, &q, &class).unwrap();
-                        let p = possible_answers(&db, &sigma, &q, &class).unwrap();
+                        let c = per_repair_certain(&db, &sigma, &q);
+                        let p = per_repair_possible(&db, &sigma, &q);
                         last = Some((c, p));
                     }
                     last.expect("three passes ran")

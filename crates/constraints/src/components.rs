@@ -42,7 +42,8 @@
 //! there is enough of them to pay for the workers ([`PAR_MIN_EDGES`]); the
 //! canonical component order (and `par_map`'s order-preserving merge) keeps
 //! results byte-identical at every thread count. `cqa-core` builds repair
-//! semantics (`FactoredRepairSet`, component-aware CQA folds) on top.
+//! semantics (the factored repair listings, component-aware CQA folds) on
+//! top.
 
 // audit:exponential — component-local hitting-set enumeration; every search loop must thread a Budget.
 use crate::hypergraph::ConflictHypergraph;
@@ -521,11 +522,11 @@ impl ConflictComponents {
     /// per-component minimum families. Returns `(minimum_size, families)`.
     ///
     /// The per-component sizes are proven first; the fixed-size enumeration
-    /// is then *seeded* with each component's proven optimum
-    /// ([`ConflictHypergraph::minimum_hitting_sets_at`]) so the bound is
-    /// never re-derived. If the budget dies during a size proof, the result
-    /// is the best-known upper bound with empty families (never wrong-sized
-    /// sets), matching the monolithic contract.
+    /// ([`ConflictHypergraph::minimum_hitting_sets_at`]) then runs at each
+    /// component's proven optimum, so the bound is never re-derived. If the
+    /// budget dies during a size proof, the result is the best-known upper
+    /// bound with empty families (never wrong-sized sets), matching the
+    /// monolithic contract.
     pub fn minimum_hitting_sets_factored(
         &self,
         budget: &Budget,

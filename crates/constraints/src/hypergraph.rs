@@ -21,7 +21,7 @@
 //! single edge has that edge's singletons. [`ConflictHypergraph::
 //! is_block_shaped`] recognizes both shapes from the edges alone, and the
 //! three family entries — [`ConflictHypergraph::minimal_hitting_sets_budgeted`]
-//! without a `limit`, [`ConflictHypergraph::minimum_hitting_set_size_seeded`]
+//! without a `limit`, [`ConflictHypergraph::minimum_hitting_set_size_budgeted`]
 //! and [`ConflictHypergraph::minimum_hitting_sets_at`] at the block minimum —
 //! then read the family off the classes in the search's own (sorted) order,
 //! one tick and one item charge per emitted set and one tick for the size
@@ -797,39 +797,18 @@ impl ConflictHypergraph {
 
     /// Budget-aware [`Self::minimum_hitting_set_size`]. On truncation the
     /// carried value is only an **upper bound** (the best incumbent the
-    /// branch-and-bound proved before stopping, seeded by the greedy
+    /// branch-and-bound proved before stopping, starting from the greedy
     /// hitting set) — callers that need the exact minimum must treat a
-    /// truncated outcome as "unknown".
+    /// truncated outcome as "unknown". A block-shaped graph
+    /// ([`Self::is_block_shaped`]) needs no search: its size proof is one
+    /// tick.
     pub fn minimum_hitting_set_size_budgeted(&self, budget: &Budget) -> Outcome<usize> {
-        self.minimum_hitting_set_size_seeded(None, budget)
+        self.minimum_size_in(self.shape(), budget)
     }
 
-    /// [`Self::minimum_hitting_set_size_budgeted`] with an externally known
-    /// cost bound. `upper`, when given, **must** be the size of some valid
-    /// hitting set of this graph (e.g. an optimum carried over from an
-    /// earlier call on the same graph); the branch-and-bound starts from
-    /// `min(upper, greedy)` instead of re-deriving its bound from scratch,
-    /// so seeding with the previously proven minimum turns the search into
-    /// a pure verification pass. The reported minimum is identical to the
-    /// unseeded search — seeding only prunes provably non-improving
-    /// branches earlier. A block-shaped graph ([`Self::is_block_shaped`])
-    /// needs no search: its size proof is one tick.
-    pub fn minimum_hitting_set_size_seeded(
-        &self,
-        upper: Option<usize>,
-        budget: &Budget,
-    ) -> Outcome<usize> {
-        self.minimum_size_in(self.shape(), upper, budget)
-    }
-
-    /// The size proof behind [`Self::minimum_hitting_set_size_seeded`], for
-    /// a graph of block shape `shape` (`None` searches).
-    fn minimum_size_in(
-        &self,
-        shape: Option<&BlockShape>,
-        upper: Option<usize>,
-        budget: &Budget,
-    ) -> Outcome<usize> {
+    /// The size proof behind [`Self::minimum_hitting_set_size_budgeted`],
+    /// for a graph of block shape `shape` (`None` searches).
+    fn minimum_size_in(&self, shape: Option<&BlockShape>, budget: &Budget) -> Outcome<usize> {
         if self.edges.is_empty() {
             return budget.outcome_with(0, 0);
         }
@@ -837,10 +816,7 @@ impl ConflictHypergraph {
             let _ = budget.tick();
             return budget.outcome(shape.minimum_size());
         }
-        let greedy = match upper {
-            Some(u) => u.min(self.greedy_hitting_set().len()),
-            None => self.greedy_hitting_set().len(),
-        };
+        let greedy = self.greedy_hitting_set().len();
         if budget.forces_sequential() || cqa_exec::threads() <= 1 {
             let mut best = greedy;
             let mut current = BTreeSet::new();
@@ -1362,33 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_size_search_reports_the_same_minimum() {
-        // Regression for the factorized path: seeding the branch-and-bound
-        // with a known optimum (or any valid hitting-set size) must never
-        // change the reported minimum.
-        let g = figure_1();
-        let unseeded = g.minimum_hitting_set_size();
-        assert_eq!(unseeded, 2);
-        let b = Budget::unlimited();
-        for seed in [None, Some(unseeded), Some(unseeded + 1), Some(5)] {
-            assert_eq!(
-                g.minimum_hitting_set_size_seeded(seed, &b).into_value(),
-                unseeded,
-                "seed={seed:?}"
-            );
-        }
-        let k = 6;
-        let edges: Vec<BTreeSet<Tid>> = (0..k).map(|i| tids(&[2 * i, 2 * i + 1])).collect();
-        let g2 = ConflictHypergraph::new((0..2 * k).map(Tid).collect(), edges);
-        let min = g2.minimum_hitting_set_size();
-        assert_eq!(
-            g2.minimum_hitting_set_size_seeded(Some(min), &b)
-                .into_value(),
-            min
-        );
-    }
-
-    #[test]
     fn enumeration_at_known_size_matches_full_search() {
         let g = figure_1();
         let k = g.minimum_hitting_set_size();
@@ -1544,7 +1493,7 @@ mod tests {
                     return Ok(());
                 }
                 let k = g.minimum_hitting_set_size_budgeted(&fresh());
-                prop_assert_eq!(&k, &g.minimum_size_in(None, None, &fresh()));
+                prop_assert_eq!(&k, &g.minimum_size_in(None, &fresh()));
                 let k = k.into_value();
                 prop_assert_eq!(
                     g.minimum_hitting_sets_at(k, &fresh()),

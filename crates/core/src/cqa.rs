@@ -1,10 +1,11 @@
 //! Consistent query answering (§3.1): certain answers over the class of
 //! repairs.
 //!
-//! `Cons(Q, D, Σ) = ⋂ { Q(D') : D' repair of D }` — the model-theoretic
-//! definition, computed by enumerating repairs. This is the *reference
-//! semantics* of the workspace: the FO rewritings (`crate::rewrite`) and the
-//! ASP repair programs (`cqa-asp`) are validated against it.
+//! `Cons(Q, D, Σ) = ⋂ { Q(D') : D' repair of D }` is the model-theoretic
+//! definition. [`certain_over`] and [`possible_over`] compute it literally,
+//! over an explicit list of instances or repair views, and
+//! `tests/oracle.rs` checks every entry point of this module against it,
+//! with the repairs derived from their definition on small instances.
 //!
 //! Query evaluation over repairs always uses SQL null semantics: deletion
 //! repairs of null-free instances are unaffected, and null-introducing
@@ -21,10 +22,12 @@
 //! folds the results in repair order, so results are byte-identical at
 //! every thread count.
 //!
-//! For denial-class Σ under a deletion-based class every budgeted read, and
-//! `certainly_true`, goes through the conflict-component factorization at
-//! any component count: a consistent instance is a product of no factors
-//! and a single conflict component a product of one.
+//! Every certain and possible read, budgeted or not, and `certainly_true`
+//! take one route. For denial-class Σ under a deletion-based class it goes
+//! through the conflict-component factorization at any component count: a
+//! consistent instance is a product of no factors and a single conflict
+//! component a product of one. Only tgds and the attribute-null class fold
+//! the query over the enumerated repair class.
 
 // audit:exponential — folds over the (worst-case exponential) repair family; every search loop must thread a Budget.
 use crate::attr_repair::attribute_repairs;
@@ -330,7 +333,9 @@ pub fn repairs_of(
     })
 }
 
-/// The consistent (certain) answers to `query` over the chosen repair class.
+/// The consistent (certain) answers to `query` over the chosen repair class:
+/// [`consistent_answers_budgeted`] under [`Budget::unlimited`], so always
+/// exact.
 ///
 /// ```
 /// use cqa_relation::{tuple, Database, RelationSchema};
@@ -358,7 +363,8 @@ pub fn consistent_answers(
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
     let base = Base::Borrowed(db);
-    Ok(monolithic(base, sigma, query, class, Side::Certain, &unlimited)?.into_value())
+    let out = answers_budgeted(base, sigma, query, class, Side::Certain, None, &unlimited)?;
+    Ok(out.into_value().0)
 }
 
 /// Certain answers over an explicit list of instances or repair views (used
@@ -372,7 +378,8 @@ pub fn certain_over<F: Facts>(instances: &[F], query: &UnionQuery) -> BTreeSet<T
     folded.map_or_else(BTreeSet::new, Answers::into_set)
 }
 
-/// The possible (brave) answers: returned by at least one repair.
+/// The possible (brave) answers, returned by at least one repair:
+/// [`possible_answers_budgeted`] under [`Budget::unlimited`].
 pub fn possible_answers(
     db: &Database,
     sigma: &ConstraintSet,
@@ -381,7 +388,8 @@ pub fn possible_answers(
 ) -> Result<BTreeSet<Tuple>, RelationError> {
     let unlimited = Budget::unlimited();
     let base = Base::Borrowed(db);
-    Ok(monolithic(base, sigma, query, class, Side::Possible, &unlimited)?.into_value())
+    let out = answers_budgeted(base, sigma, query, class, Side::Possible, None, &unlimited)?;
+    Ok(out.into_value().0)
 }
 
 /// Possible (brave) answers over an explicit list of instances or views.
@@ -554,9 +562,8 @@ fn repair_set_budgeted(
 }
 
 /// The monolithic fold of one side over the enumerated repair class: the
-/// route of Σ or classes outside the factorization ([`factorable`]), and
-/// the unbudgeted reference entries [`consistent_answers`] and
-/// [`possible_answers`] that the factored folds are tested against.
+/// route of Σ or classes outside the factorization ([`factorable`]), that
+/// is tgds and the attribute-null class.
 ///
 /// On truncation the partial fold is discarded: intersecting `Q` over the
 /// repairs explored so far is *not* sound for certain answers, since
@@ -612,8 +619,8 @@ fn monolithic(
 // sliced by component — no query evaluation per repair (CAvSAT computes
 // the witnesses once in the same way). When a witness does span two
 // components (or the query is non-monotone), the fold degrades to
-// streaming over the *lazy* cross-product — the same set of repairs as the
-// monolithic fold, never materialized as a list.
+// streaming over the *lazy* cross-product — the same set of repairs the
+// S- and C-repair listings expand, never materialized as a list.
 // ---------------------------------------------------------------------------
 
 /// The witnesses of a monotone query over the whole instance, sliced by
@@ -872,7 +879,7 @@ fn factored_with(
     class: &RepairClass,
     side: Side,
     budget: &Budget,
-) -> FactoredAnswers {
+) -> RoutedAnswers {
     let components = graph.components();
     let families = match class {
         RepairClass::Cardinality => {
@@ -897,7 +904,7 @@ fn factored_with(
     };
     if budget.exhausted() {
         let info = Factorization::of(&components, &families, false, None);
-        return budget.outcome_with((fallback(None), info), explored);
+        return budget.outcome_with((fallback(None), Some(info)), explored);
     }
     let slices = if is_monotone(query) {
         WitnessSlices::scan(db, query, &components)
@@ -914,72 +921,25 @@ fn factored_with(
             .map(Answers::into_set)
         }
     };
-    let info = Factorization::of(
+    let info = Some(Factorization::of(
         &components,
         &families,
         slices.is_none(),
         slices.as_ref().map(|ws| ws.witnesses),
-    );
+    ));
     match folded {
         Some(answers) if !budget.exhausted() => Outcome::Exact((answers, info)),
         _ => budget.outcome_with((fallback(slices.as_ref()), info), explored),
     }
 }
 
-/// A factored CQA result: the answer set plus the [`Factorization`] shape
-/// summary that produced it.
-pub type FactoredAnswers = Outcome<(BTreeSet<Tuple>, Factorization)>;
-
-/// Component-factorized [`consistent_answers_budgeted`]: `None` when the
-/// factorization does not apply (non-denial Σ or the attribute-null class),
-/// otherwise the certain answers plus the [`Factorization`] shape summary —
-/// at any component count. The answers equal the monolithic fold's bit for
-/// bit whenever the outcome is exact.
-pub fn consistent_answers_factored_budgeted(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Option<FactoredAnswers>, RelationError> {
-    factored_entry(db, sigma, query, class, Side::Certain, budget)
-}
-
-/// Component-factorized [`possible_answers_budgeted`]; see
-/// [`consistent_answers_factored_budgeted`].
-pub fn possible_answers_factored_budgeted(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Option<FactoredAnswers>, RelationError> {
-    factored_entry(db, sigma, query, class, Side::Possible, budget)
-}
-
-/// The two factored entries: [`factored_with`] over a freshly built graph.
-fn factored_entry(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-    side: Side,
-    budget: &Budget,
-) -> Result<Option<FactoredAnswers>, RelationError> {
-    if !factorable(sigma, class) {
-        return Ok(None);
-    }
-    let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_with(db, &graph, query, class, side, budget)))
-}
-
 /// A routed CQA result: the answer set, plus the [`Factorization`] when the
 /// factored route answered.
 pub(crate) type RoutedAnswers = Outcome<(BTreeSet<Tuple>, Option<Factorization>)>;
 
-/// The budgeted certain/possible route shared by
-/// [`consistent_answers_budgeted`], [`possible_answers_budgeted`],
-/// [`certainly_true`], the planner's fallback and a session's class reads.
+/// The one certain/possible route, shared by [`consistent_answers`],
+/// [`possible_answers`], their `_budgeted` forms, [`certainly_true`], the
+/// planner's fallback and a session's class reads.
 /// When the factorization applies ([`factorable`]) the factored fold
 /// answers, at any component count, and its [`Factorization`] comes back;
 /// otherwise the monolithic fold over the enumerated repair class does.
@@ -1007,8 +967,7 @@ pub(crate) fn answers_budgeted(
             &owned
         }
     };
-    let out = factored_with(db, graph, query, class, side, budget);
-    Ok(out.map(|(answers, shape)| (answers, Some(shape))))
+    Ok(factored_with(db, graph, query, class, side, budget))
 }
 
 /// Budget-aware [`consistent_answers`]: the anytime entry point.
@@ -1314,6 +1273,42 @@ mod tests {
         (db, sigma)
     }
 
+    /// The per-repair fold over the listed repairs of `class`: the
+    /// definition the routed reads must equal.
+    fn per_repair(
+        db: &Database,
+        sigma: &ConstraintSet,
+        q: &UnionQuery,
+        class: &RepairClass,
+        side: Side,
+    ) -> BTreeSet<Tuple> {
+        let repairs = match class {
+            RepairClass::Cardinality => crate::c_repairs(db, sigma).unwrap(),
+            _ => crate::s_repairs(db, sigma).unwrap(),
+        };
+        let views: Vec<_> = repairs.iter().map(Repair::view).collect();
+        match side {
+            Side::Certain => certain_over(&views, q),
+            Side::Possible => possible_over(&views, q),
+        }
+    }
+
+    /// The routed unlimited read of one side, with its [`Factorization`]
+    /// (`None` off the factored route).
+    fn routed_once(
+        db: &Database,
+        sigma: &ConstraintSet,
+        q: &UnionQuery,
+        class: &RepairClass,
+        side: Side,
+    ) -> (BTreeSet<Tuple>, Option<Factorization>) {
+        let base = Base::Borrowed(db);
+        let out = answers_budgeted(base, sigma, q, class, side, None, &Budget::unlimited());
+        let out = out.unwrap();
+        assert!(out.is_exact());
+        out.into_value()
+    }
+
     #[test]
     fn factored_certain_matches_monolithic_per_component_path() {
         let (db, sigma) = two_component_employee();
@@ -1324,33 +1319,14 @@ mod tests {
         ] {
             let q = UnionQuery::single(parse_query(q).unwrap());
             for class in [RepairClass::Subset, RepairClass::Cardinality] {
-                let mono = consistent_answers(&db, &sigma, &q, &class).unwrap();
-                let (fact, info) = consistent_answers_factored_budgeted(
-                    &db,
-                    &sigma,
-                    &q,
-                    &class,
-                    &Budget::unlimited(),
-                )
-                .unwrap()
-                .expect("denial-class")
-                .into_value();
-                assert_eq!(fact, mono, "class {class:?}");
-                assert_eq!(info.components, 2);
-                assert!(!info.spanning, "single-atom witnesses never span");
-                assert!(info.witnesses.is_some(), "the witness-slice fold ran");
-                let mono_p = possible_answers(&db, &sigma, &q, &class).unwrap();
-                let (fact_p, _) = possible_answers_factored_budgeted(
-                    &db,
-                    &sigma,
-                    &q,
-                    &class,
-                    &Budget::unlimited(),
-                )
-                .unwrap()
-                .unwrap()
-                .into_value();
-                assert_eq!(fact_p, mono_p, "class {class:?}");
+                for side in [Side::Certain, Side::Possible] {
+                    let (fact, info) = routed_once(&db, &sigma, &q, &class, side);
+                    let info = info.expect("denial-class");
+                    assert_eq!(fact, per_repair(&db, &sigma, &q, &class, side));
+                    assert_eq!(info.components, 2);
+                    assert!(!info.spanning, "single-atom witnesses never span");
+                    assert!(info.witnesses.is_some(), "the witness-slice fold ran");
+                }
             }
         }
     }
@@ -1363,57 +1339,27 @@ mod tests {
         // cross-product fold must take over.
         let q =
             UnionQuery::single(parse_query("Q(x, u) :- Employee(x, y), Employee(u, w)").unwrap());
-        let mono = consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
-        let (fact, info) = consistent_answers_factored_budgeted(
-            &db,
-            &sigma,
-            &q,
-            &RepairClass::Subset,
-            &Budget::unlimited(),
-        )
-        .unwrap()
-        .unwrap()
-        .into_value();
-        assert!(info.spanning);
-        assert_eq!(info.witnesses, None);
-        assert_eq!(fact, mono);
-        let mono_p = possible_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
-        let (fact_p, _) = possible_answers_factored_budgeted(
-            &db,
-            &sigma,
-            &q,
-            &RepairClass::Subset,
-            &Budget::unlimited(),
-        )
-        .unwrap()
-        .unwrap()
-        .into_value();
-        assert_eq!(fact_p, mono_p);
+        let class = RepairClass::Subset;
+        for side in [Side::Certain, Side::Possible] {
+            let (fact, info) = routed_once(&db, &sigma, &q, &class, side);
+            let info = info.expect("denial-class");
+            assert!(info.spanning);
+            assert_eq!(info.witnesses, None);
+            assert_eq!(fact, per_repair(&db, &sigma, &q, &class, side));
+        }
     }
 
     #[test]
     fn factored_fold_is_not_applicable_outside_the_denial_class() {
         let (db, sigma) = supply();
         let q = UnionQuery::single(parse_query("Q(z) :- Supply(x, y, z)").unwrap());
-        assert!(consistent_answers_factored_budgeted(
-            &db,
-            &sigma,
-            &q,
-            &RepairClass::Subset,
-            &Budget::unlimited()
-        )
-        .unwrap()
-        .is_none());
-        let (db2, sigma2) = two_component_employee();
-        assert!(consistent_answers_factored_budgeted(
-            &db2,
-            &sigma2,
-            &q,
-            &RepairClass::AttributeNull,
-            &Budget::unlimited()
-        )
-        .unwrap()
-        .is_none());
+        let (_, info) = routed_once(&db, &sigma, &q, &RepairClass::Subset, Side::Certain);
+        assert!(info.is_none());
+        let (db, sigma) = two_component_employee();
+        let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
+        let class = RepairClass::AttributeNull;
+        let (_, info) = routed_once(&db, &sigma, &q, &class, Side::Certain);
+        assert!(info.is_none());
     }
 
     #[test]
@@ -1422,23 +1368,14 @@ mod tests {
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
         // One step: enumeration is cut immediately; certain degrades to the
         // frozen-core answers, possible to Q(D).
-        let budget = Budget::steps(1);
-        let out =
-            consistent_answers_factored_budgeted(&db, &sigma, &q, &RepairClass::Subset, &budget)
-                .unwrap()
-                .unwrap();
+        let class = RepairClass::Subset;
+        let out = consistent_answers_budgeted(&db, &sigma, &q, &class, &Budget::steps(1)).unwrap();
         assert!(out.is_truncated());
-        let (certain, _) = out.into_value();
-        assert_eq!(certain, [tuple!["smith"]].into());
-        let budget = Budget::steps(1);
-        let out =
-            possible_answers_factored_budgeted(&db, &sigma, &q, &RepairClass::Subset, &budget)
-                .unwrap()
-                .unwrap();
+        assert_eq!(out.into_value(), [tuple!["smith"]].into());
+        let out = possible_answers_budgeted(&db, &sigma, &q, &class, &Budget::steps(1)).unwrap();
         assert!(out.is_truncated());
-        let (possible, _) = out.into_value();
         assert_eq!(
-            possible,
+            out.into_value(),
             [tuple!["page"], tuple!["miller"], tuple!["smith"]].into()
         );
     }
@@ -1617,22 +1554,7 @@ mod tests {
         // product answers.
         let (db, sigma) = two_component_employee();
         let pairs = q("Q(x, u) :- Employee(x, 5000), Employee(u, 1000)");
-        let product = |side: Side| {
-            cut_points(|budget| {
-                let class = RepairClass::Subset;
-                match side {
-                    Side::Certain => {
-                        consistent_answers_factored_budgeted(&db, &sigma, &pairs, &class, budget)
-                    }
-                    Side::Possible => {
-                        possible_answers_factored_budgeted(&db, &sigma, &pairs, &class, budget)
-                    }
-                }
-                .unwrap()
-                .expect("denial-class, deletion-based")
-                .map(|(answers, _)| answers)
-            })
-        };
+        let product = |side| routed(&db, &sigma, &pairs, side, RepairClass::Subset);
         assert_eq!(
             product(Side::Certain),
             [

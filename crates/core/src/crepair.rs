@@ -76,8 +76,8 @@ pub(crate) fn denial_class_c_repairs(
     // over the whole graph; a logical cap keeps that search, as in
     // `denial_class_s_repairs`.
     if options.limit.is_none() && !budget.forces_sequential() {
-        let factored = crate::factored::FactoredRepairSet::enumerate_minimum(db, graph, budget);
-        let repairs = factored.value().expand_budgeted(budget)?;
+        let families = graph.components().minimum_hitting_sets_factored(budget);
+        let repairs = crate::factored::expand(db, &families.value().1, budget)?;
         let explored = repairs.len() as u64;
         return Ok(budget.outcome_with(repairs, explored));
     }

@@ -1,20 +1,19 @@
-//! Factored repair sets: one repair family per conflict component, never
-//! the expanded cross-product.
+//! Factored repair families: one family per conflict component, never the
+//! expanded cross-product.
 //!
 //! Every repair of a denial-class instance is the frozen core plus an
 //! independent choice of one component-local repair per connected component
-//! of the conflict hyper-graph (`cqa-constraints::components`). A
-//! [`FactoredRepairSet`] keeps exactly that: the shared base instance, the
-//! factorization, and the per-component deletion families. The monolithic
-//! family is recoverable two ways, both without ever *storing* the product:
+//! of the conflict hyper-graph (`cqa-constraints::components`), whose
+//! `FactoredFamilies` hold exactly those per-component deletion families.
+//! The repair family is recoverable from them two ways, both without ever
+//! *storing* the product:
 //!
-//! * [`FactoredRepairSet::deltas`] — a lazy odometer iterator yielding the
-//!   combined deletion sets one at a time, in canonical (component-major)
-//!   order; the component-spanning CQA fold streams over it.
-//! * [`FactoredRepairSet::expand`] — materializes `Vec<Repair>` for callers
-//!   whose API contract is the full list (`s_repairs` itself). The *search*
-//!   still paid `Σ_c cost(c)` instead of the monolithic product-shaped
-//!   tree.
+//! * `ProductDeltas` — a lazy odometer yielding the combined deletion sets
+//!   one at a time, in canonical (component-major) order; the
+//!   component-spanning CQA fold streams over it.
+//! * `expand` — materializes the sorted `Vec<Repair>` that the S- and
+//!   C-repair listings return. The *search* still paid `Σ_c cost(c)`
+//!   instead of the monolithic product-shaped tree.
 //!
 //! The component-aware certain/possible folds in [`crate::cqa`] avoid even
 //! the lazy iteration when no query witness spans two components: one scan
@@ -28,8 +27,8 @@
 
 // audit:exponential — per-component repair families multiply out; every search loop must thread a Budget.
 use crate::repair::Repair;
-use cqa_constraints::{ConflictComponents, ConflictHypergraph, ConstraintSet, FactoredFamilies};
-use cqa_exec::{Budget, Outcome};
+use cqa_constraints::{ConflictComponents, FactoredFamilies};
+use cqa_exec::Budget;
 use cqa_relation::{Database, RelationError, Tid};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -75,132 +74,36 @@ impl Factorization {
     }
 }
 
-/// A repair family in factored form: frozen core + one deletion family per
-/// conflict component. Deletion-only by construction (denial-class Σ).
-#[derive(Debug, Clone)]
-pub struct FactoredRepairSet {
-    base: Arc<Database>,
-    components: Arc<ConflictComponents>,
-    families: FactoredFamilies,
-}
-
-impl FactoredRepairSet {
-    /// Enumerate all **minimal** hitting sets per component (the S-repair
-    /// factorization) of `graph`, which must have been built from `base`.
-    /// Soundness under truncation matches
-    /// [`ConflictComponents::minimal_hitting_sets_factored`].
-    pub fn enumerate_minimal(
-        base: &Arc<Database>,
-        graph: &ConflictHypergraph,
-        budget: &Budget,
-    ) -> Outcome<FactoredRepairSet> {
-        let components = graph.components();
-        components
-            .minimal_hitting_sets_factored(budget)
-            .map(|families| FactoredRepairSet {
-                base: Arc::clone(base),
-                components,
-                families,
-            })
-    }
-
-    /// Enumerate all **minimum** hitting sets per component (the C-repair
-    /// factorization): the global minima are exactly the cross-products of
-    /// the per-component minimum families, so the minimum distance is the
-    /// sum of the per-component optima. Empty families when the budget died
-    /// during a size proof (mirroring the monolithic contract).
-    pub fn enumerate_minimum(
-        base: &Arc<Database>,
-        graph: &ConflictHypergraph,
-        budget: &Budget,
-    ) -> Outcome<FactoredRepairSet> {
-        let components = graph.components();
-        components
-            .minimum_hitting_sets_factored(budget)
-            .map(|(_, families)| FactoredRepairSet {
-                base: Arc::clone(base),
-                components,
-                families,
-            })
-    }
-
-    /// The shared base instance.
-    pub fn base(&self) -> &Arc<Database> {
-        &self.base
-    }
-
-    /// The underlying factorization (frozen core + component graphs).
-    pub fn components(&self) -> &Arc<ConflictComponents> {
-        &self.components
-    }
-
-    /// The per-component deletion families, canonical component order.
-    pub fn families(&self) -> &FactoredFamilies {
-        &self.families
-    }
-
-    /// Number of components.
-    pub fn component_count(&self) -> usize {
-        self.components.components.len()
-    }
-
-    /// Size of the monolithic family (`None` on overflow).
-    pub fn product_len(&self) -> Option<usize> {
-        self.families.product_len()
-    }
-
-    /// Total component-local sets stored (the factored representation size).
-    pub fn factored_len(&self) -> usize {
-        self.families.factored_len()
-    }
-
-    /// The shape summary for diagnostics.
-    pub fn factorization(&self, spanning: bool) -> Factorization {
-        Factorization::of(&self.components, &self.families, spanning, None)
-    }
-
-    /// Lazy iterator over the combined (global) deletion sets of the
-    /// cross-product, in component-major order. Nothing product-sized is
-    /// ever stored; each item is built from the current odometer position.
-    pub fn deltas(&self) -> ProductDeltas<'_> {
-        ProductDeltas::over(&self.families.families)
-    }
-
-    /// Materialize the monolithic repair list (sorted by delta, the
-    /// [`crate::s_repairs`] output order). The output is byte-identical to
-    /// the monolithic enumeration whenever the families are exact, because
-    /// the global minimal (resp. minimum) hitting sets are exactly the
-    /// unions of one local set per component.
-    pub fn expand(&self) -> Result<Vec<Repair>, RelationError> {
-        self.expand_budgeted(&Budget::unlimited())
-    }
-
-    /// [`expand`](FactoredRepairSet::expand) under a meter: each product
-    /// position charges one item before it is materialized, so a budget
-    /// that exhausts (or is cancelled — e.g. the client hung up) stops the
-    /// odometer instead of expanding the full cross-product. The prefix
-    /// kept is a sound subset of the true family; an unexhausted budget
-    /// yields output byte-identical to [`expand`].
-    ///
-    /// [`expand`]: FactoredRepairSet::expand
-    pub fn expand_budgeted(&self, budget: &Budget) -> Result<Vec<Repair>, RelationError> {
-        let mut out = Vec::new();
-        for deleted in self.deltas() {
-            if !budget.charge_item() {
-                break;
-            }
-            out.push(Repair::from_delta(&self.base, deleted, Vec::new())?);
+/// The repairs of `base` that `families` factor, sorted by delta (the
+/// [`crate::s_repairs`] output order). Each product position charges one
+/// item before it is materialized, so a budget that exhausts (or is
+/// cancelled — e.g. the client hung up) stops the odometer instead of
+/// expanding the full cross-product. The prefix kept is a sound subset of
+/// the family. With exact families and an unexhausted budget the output is
+/// byte-identical to one search over the whole graph, because the global
+/// minimal (resp. minimum) hitting sets are exactly the unions of one local
+/// set per component.
+pub(crate) fn expand(
+    base: &Arc<Database>,
+    families: &FactoredFamilies,
+    budget: &Budget,
+) -> Result<Vec<Repair>, RelationError> {
+    let mut out = Vec::new();
+    for deleted in ProductDeltas::over(&families.families) {
+        if !budget.charge_item() {
+            break;
         }
-        crate::repair::sort_by_delta(&mut out);
-        Ok(out)
+        out.push(Repair::from_delta(base, deleted, Vec::new())?);
     }
+    crate::repair::sort_by_delta(&mut out);
+    Ok(out)
 }
 
 /// Odometer iterator over the cross-product of per-component deletion
-/// families; see [`FactoredRepairSet::deltas`]. With zero components it
-/// yields the single empty delta (the consistent instance's one repair).
+/// families. With zero components it yields the single empty delta (the
+/// consistent instance's one repair).
 #[derive(Debug)]
-pub struct ProductDeltas<'a> {
+pub(crate) struct ProductDeltas<'a> {
     families: &'a [Vec<BTreeSet<Tid>>],
     indices: Vec<usize>,
     done: bool,
@@ -214,24 +117,6 @@ impl<'a> ProductDeltas<'a> {
             indices: vec![0; families.len()],
             done: families.iter().any(Vec::is_empty),
         }
-    }
-
-    /// How many deltas remain (including the one `next` would yield now);
-    /// `None` on overflow.
-    pub fn remaining_len(&self) -> Option<usize> {
-        if self.done {
-            return Some(0);
-        }
-        // Position value of the odometer + remaining suffix product.
-        let mut total: usize = 1;
-        let mut consumed: usize = 0;
-        for (i, family) in self.families.iter().enumerate() {
-            total = total.checked_mul(family.len())?;
-            consumed = consumed
-                .checked_mul(family.len())?
-                .checked_add(self.indices[i])?;
-        }
-        total.checked_sub(consumed)
     }
 }
 
@@ -260,44 +145,11 @@ impl Iterator for ProductDeltas<'_> {
     }
 }
 
-/// Factored S-repair enumeration straight from Σ: `None` when Σ is not
-/// denial-class (insertions may be needed; there is no hitting-set
-/// factorization to speak of).
-pub fn factored_s_repairs_budgeted(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    budget: &Budget,
-) -> Result<Option<Outcome<FactoredRepairSet>>, RelationError> {
-    if !sigma.is_denial_class() {
-        return Ok(None);
-    }
-    let graph = sigma.conflict_hypergraph(&**db)?;
-    Ok(Some(FactoredRepairSet::enumerate_minimal(
-        db, &graph, budget,
-    )))
-}
-
-/// Factored C-repair enumeration straight from Σ; `None` when Σ is not
-/// denial-class.
-pub fn factored_c_repairs_budgeted(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    budget: &Budget,
-) -> Result<Option<Outcome<FactoredRepairSet>>, RelationError> {
-    if !sigma.is_denial_class() {
-        return Ok(None);
-    }
-    let graph = sigma.conflict_hypergraph(&**db)?;
-    Ok(Some(FactoredRepairSet::enumerate_minimum(
-        db, &graph, budget,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::srepair::{s_repairs, RepairOptions};
-    use cqa_constraints::KeyConstraint;
+    use cqa_constraints::{ConstraintSet, KeyConstraint};
     use cqa_relation::{tuple, RelationSchema, Tuple, Value};
 
     /// Two independent key groups (2 rows each) plus a clean row: two pair
@@ -315,38 +167,60 @@ mod tests {
         (db, sigma)
     }
 
-    #[test]
-    fn factored_expansion_matches_monolithic_s_repairs() {
-        let (db, sigma) = two_group_db();
-        let base = Arc::new(db.clone());
-        let fx = factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-            .unwrap()
-            .expect("denial-class")
-            .into_value();
-        assert_eq!(fx.component_count(), 2);
-        assert_eq!(fx.product_len(), Some(4));
-        assert_eq!(fx.factored_len(), 4); // 2 + 2
-        let expanded = fx.expand().unwrap();
-        let monolithic = s_repairs(&db, &sigma).unwrap();
-        assert_eq!(expanded.len(), monolithic.len());
-        for (a, b) in expanded.iter().zip(&monolithic) {
+    /// The per-component minimal families of `db`'s conflict hyper-graph.
+    fn minimal_families(db: &Database, sigma: &ConstraintSet) -> FactoredFamilies {
+        let graph = sigma.conflict_hypergraph(db).unwrap();
+        let families = graph
+            .components()
+            .minimal_hitting_sets_factored(&Budget::unlimited());
+        families.into_value()
+    }
+
+    /// The listing of one search over the whole graph: a step budget takes
+    /// the S- and C-repair listings off the factored expansion.
+    fn whole_graph_listing(
+        base: &Arc<Database>,
+        sigma: &ConstraintSet,
+        minimum: bool,
+    ) -> Vec<Repair> {
+        let (options, budget) = (RepairOptions::default(), Budget::steps(1_000_000));
+        let out = if minimum {
+            crate::c_repairs_budgeted(base, sigma, &options, &budget)
+        } else {
+            crate::s_repairs_budgeted(base, sigma, &options, &budget)
+        };
+        let out = out.unwrap();
+        assert!(out.is_exact());
+        out.into_value()
+    }
+
+    fn same_deltas(a: &[Repair], b: &[Repair]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
             assert_eq!(a.delta(), b.delta());
         }
     }
 
     #[test]
-    fn lazy_deltas_cover_the_product_exactly_once() {
+    fn factored_expansion_matches_monolithic_s_repairs() {
         let (db, sigma) = two_group_db();
         let base = Arc::new(db.clone());
-        let fx = factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-            .unwrap()
-            .unwrap()
-            .into_value();
-        let mut iter = fx.deltas();
-        assert_eq!(iter.remaining_len(), Some(4));
-        let all: BTreeSet<BTreeSet<Tid>> = iter.by_ref().collect();
+        let families = minimal_families(&db, &sigma);
+        assert_eq!(families.families.len(), 2);
+        assert_eq!(families.product_len(), Some(4));
+        assert_eq!(families.factored_len(), 4); // 2 + 2
+        let expanded = expand(&base, &families, &Budget::unlimited()).unwrap();
+        same_deltas(&expanded, &whole_graph_listing(&base, &sigma, false));
+        same_deltas(&expanded, &s_repairs(&db, &sigma).unwrap());
+    }
+
+    #[test]
+    fn lazy_deltas_cover_the_product_exactly_once() {
+        let (db, sigma) = two_group_db();
+        let families = minimal_families(&db, &sigma);
+        let all: Vec<BTreeSet<Tid>> = ProductDeltas::over(&families.families).collect();
         assert_eq!(all.len(), 4);
-        assert_eq!(iter.remaining_len(), Some(0));
+        assert_eq!(all.iter().collect::<BTreeSet<_>>().len(), 4);
         for d in &all {
             assert_eq!(d.len(), 2); // one deletion per component
         }
@@ -354,21 +228,18 @@ mod tests {
 
     /// Regression: `expand` used to run the full cross-product regardless
     /// of the budget, so a cancelled (or born-exhausted) request kept
-    /// burning CPU to the end of a possibly exponential expansion. The
-    /// budgeted variant must stop at the meter and keep a sound prefix.
+    /// burning CPU to the end of a possibly exponential expansion. It must
+    /// stop at the meter and keep a sound prefix.
     #[test]
     fn cancelled_expansion_stops_instead_of_running_the_product_out() {
         let (db, sigma) = two_group_db();
+        let families = minimal_families(&db, &sigma);
         let base = Arc::new(db);
+        assert_eq!(families.product_len(), Some(4));
         let budget = Budget::unlimited();
-        let fx = factored_s_repairs_budgeted(&base, &sigma, &budget)
-            .unwrap()
-            .unwrap()
-            .into_value();
-        assert_eq!(fx.product_len(), Some(4));
         budget.cancel_token().cancel();
         assert!(
-            fx.expand_budgeted(&budget).unwrap().is_empty(),
+            expand(&base, &families, &budget).unwrap().is_empty(),
             "a cancelled budget must stop the expansion immediately"
         );
         // Born-exhausted deadline: same contract through the repair API.
@@ -390,62 +261,47 @@ mod tests {
             .unwrap();
         db.insert("T", tuple![1, 10]).unwrap();
         let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
-        let base = Arc::new(db);
-        let fx = factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-            .unwrap()
-            .unwrap()
-            .into_value();
-        assert_eq!(fx.component_count(), 0);
-        let deltas: Vec<_> = fx.deltas().collect();
+        let families = minimal_families(&db, &sigma);
+        assert!(families.families.is_empty());
+        let deltas: Vec<_> = ProductDeltas::over(&families.families).collect();
         assert_eq!(deltas, vec![BTreeSet::new()]);
-        assert_eq!(fx.expand().unwrap().len(), 1);
+        let base = Arc::new(db.clone());
+        assert_eq!(
+            expand(&base, &families, &Budget::unlimited())
+                .unwrap()
+                .len(),
+            1
+        );
+        assert_eq!(s_repairs(&db, &sigma).unwrap().len(), 1);
     }
 
     #[test]
     fn minimum_factorization_crosses_only_minima() {
-        // Component 1: hub row in conflict with 3 others (min deletes the
-        // hub, 1 way... actually min hitting set of a star of 3 pair-edges
-        // is the hub alone). Component 2: plain pair (2 minima).
+        // Component 1: a key group of four rows, pairwise in conflict (a
+        // minimum hitting set keeps one row). Component 2: a plain pair.
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("T", ["K", "V"]))
             .unwrap();
-        db.insert("T", tuple![1, 0]).unwrap(); // hub group: 4 rows
+        db.insert("T", tuple![1, 0]).unwrap(); // group of 4 rows
         db.insert("T", tuple![1, 1]).unwrap();
         db.insert("T", tuple![1, 2]).unwrap();
         db.insert("T", tuple![1, 3]).unwrap();
         db.insert("T", tuple![2, 0]).unwrap(); // pair group
         db.insert("T", tuple![2, 1]).unwrap();
         let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
-        let base = Arc::new(db.clone());
-        let fx = factored_c_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-            .unwrap()
-            .unwrap()
+        let graph = sigma.conflict_hypergraph(&db).unwrap();
+        let (size, families) = graph
+            .components()
+            .minimum_hitting_sets_factored(&Budget::unlimited())
             .into_value();
         // Key group of 4: minimum deletes 3 (4 choices); pair: deletes 1
         // (2 choices) → 8 C-repairs, each of delta size 4.
-        assert_eq!(fx.product_len(), Some(8));
-        let expanded = fx.expand().unwrap();
-        let monolithic = crate::crepair::c_repairs(&db, &sigma).unwrap();
-        assert_eq!(expanded.len(), monolithic.len());
-        for (a, b) in expanded.iter().zip(&monolithic) {
-            assert_eq!(a.delta(), b.delta());
-        }
-    }
-
-    #[test]
-    fn non_denial_sigma_has_no_factorization() {
-        let mut db = Database::new();
-        db.create_relation(RelationSchema::new("A", ["X"])).unwrap();
-        db.create_relation(RelationSchema::new("B", ["X"])).unwrap();
-        db.insert("A", tuple!["a"]).unwrap();
-        let sigma =
-            ConstraintSet::from_iter([cqa_constraints::Tgd::parse("t", "B(x) :- A(x)").unwrap()]);
-        let base = Arc::new(db);
-        assert!(
-            factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-                .unwrap()
-                .is_none()
-        );
+        assert_eq!(size, 4);
+        assert_eq!(families.product_len(), Some(8));
+        let base = Arc::new(db.clone());
+        let expanded = expand(&base, &families, &Budget::unlimited()).unwrap();
+        same_deltas(&expanded, &whole_graph_listing(&base, &sigma, true));
+        same_deltas(&expanded, &crate::crepair::c_repairs(&db, &sigma).unwrap());
     }
 
     #[test]

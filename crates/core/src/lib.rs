@@ -48,16 +48,12 @@ pub use checking::{
 };
 pub use cqa::{
     certain_over, certainly_true, consistent_aggregate_range, consistent_aggregate_ranges,
-    consistent_answers, consistent_answers_budgeted, consistent_answers_factored_budgeted,
-    possible_answers, possible_answers_budgeted, possible_answers_factored_budgeted, possible_over,
-    repairs_of, FactoredAnswers, RepairClass,
+    consistent_answers, consistent_answers_budgeted, possible_answers, possible_answers_budgeted,
+    possible_over, repairs_of, RepairClass,
 };
 pub use crepair::{c_repairs, c_repairs_budgeted, min_repair_distance};
 pub use delta::{IncrementalState, MaintenanceDecision};
-pub use factored::{
-    factored_c_repairs_budgeted, factored_s_repairs_budgeted, FactoredRepairSet, Factorization,
-    ProductDeltas,
-};
+pub use factored::Factorization;
 pub use incremental::{insert_preserves_consistency, repairs_after_insert, IncrementalRepairs};
 pub use measures::{core_gap, inconsistency_degree};
 pub use nullrepair::{has_solution, null_tuple_repairs, NullTupleRepair, RepairStyle};

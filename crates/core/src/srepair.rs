@@ -206,8 +206,8 @@ pub(crate) fn denial_class_s_repairs(
     // so a cap would latch inside them before the expansion listed one
     // repair. A deadline's truncated expansion is still a sound subset.
     if options.limit.is_none() && !budget.forces_sequential() {
-        let factored = crate::factored::FactoredRepairSet::enumerate_minimal(db, graph, budget);
-        let repairs = factored.value().expand_budgeted(budget)?;
+        let families = graph.components().minimal_hitting_sets_factored(budget);
+        let repairs = crate::factored::expand(db, families.value(), budget)?;
         let explored = repairs.len() as u64;
         return Ok(budget.outcome_with(repairs, explored));
     }

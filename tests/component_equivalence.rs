@@ -1,17 +1,23 @@
-//! Conflict-component factorization equivalence, property-tested: the
-//! factored code paths (per-component hitting-set search, lazy cross-product
-//! expansion, component-wise certain/possible folds, component-restricted
-//! contingency search) must be *byte-identical* to the monolithic ones on
-//! random multi-component instances — at 1 and 4 threads, and sound under
-//! random step budgets. The monolithic oracle is obtained by forcing the
-//! legacy sequential search (a step budget disables the factored gate) or by
-//! brute force over all deletion subsets.
+//! Conflict-component factorization against the per-repair definition,
+//! property-tested on random multi-component instances, at 1 and 4
+//! threads:
+//!
+//! * the routed CQA entries, plain and `_budgeted`, which fold per conflict
+//!   component (witness slices, or the lazy cross-product when a witness
+//!   spans components), equal the certain and possible answers folded over
+//!   the listed repairs (`certain_over`/`possible_over` over the views of
+//!   `s_repairs`/`c_repairs`), and truncated reads stay on the sound side;
+//! * the S- and C-repair listings under an unlimited budget, which expand
+//!   the per-component families, equal the same listings under a step
+//!   budget, which takes one search over the whole graph;
+//! * the component-restricted contingency search equals a brute force over
+//!   all deletion subsets.
 
 use cqa_constraints::{ConstraintSet, KeyConstraint};
 use cqa_core::{
-    consistent_answers, consistent_answers_budgeted, consistent_answers_factored_budgeted,
-    factored_c_repairs_budgeted, factored_s_repairs_budgeted, possible_answers,
-    possible_answers_budgeted, possible_answers_factored_budgeted, RepairClass, RepairOptions,
+    c_repairs, c_repairs_budgeted, certain_over, consistent_answers, consistent_answers_budgeted,
+    possible_answers, possible_answers_budgeted, possible_over, s_repairs, s_repairs_budgeted,
+    s_repairs_with, RepairClass, RepairOptions,
 };
 use cqa_exec::{with_threads, Budget};
 use cqa_query::{holds_ucq, parse_query, parse_ucq, NullSemantics, UnionQuery};
@@ -92,95 +98,72 @@ fn deltas(repairs: Vec<cqa_core::Repair>) -> Deltas {
     out
 }
 
-/// The monolithic S-repair oracle: a generous *step* budget forces the
-/// sequential depth-first search, bypassing the factored gate entirely.
-fn monolithic_s_repairs(base: &Arc<Database>, sigma: &ConstraintSet) -> Deltas {
-    let budget = Budget::steps(1_000_000);
-    let out =
-        cqa_core::s_repairs_budgeted(base, sigma, &RepairOptions::default(), &budget).unwrap();
-    assert!(
-        out.truncation().is_none(),
-        "oracle budget too small for the sequential search"
-    );
+/// The S- or C-repair listing under `budget`, which must come back exact.
+fn listing(base: &Arc<Database>, sigma: &ConstraintSet, minimum: bool, budget: &Budget) -> Deltas {
+    let options = RepairOptions::default();
+    let out = if minimum {
+        c_repairs_budgeted(base, sigma, &options, budget)
+    } else {
+        s_repairs_budgeted(base, sigma, &options, budget)
+    }
+    .unwrap();
+    assert!(out.is_exact(), "listing truncated");
     deltas(out.into_value())
 }
 
-fn monolithic_c_repairs(base: &Arc<Database>, sigma: &ConstraintSet) -> Deltas {
-    let budget = Budget::steps(1_000_000);
-    let out =
-        cqa_core::c_repairs_budgeted(base, sigma, &RepairOptions::default(), &budget).unwrap();
-    assert!(out.truncation().is_none());
-    deltas(out.into_value())
+/// The per-repair fold: certain and possible answers folded over the
+/// listed repairs of `class`, one query evaluation per repair.
+fn per_repair(
+    db: &Database,
+    sigma: &ConstraintSet,
+    q: &UnionQuery,
+    class: &RepairClass,
+) -> (BTreeSet<Tuple>, BTreeSet<Tuple>) {
+    let repairs = match class {
+        RepairClass::Cardinality => c_repairs(db, sigma),
+        RepairClass::SubsetDeletionsOnly => {
+            s_repairs_with(db, sigma, &RepairOptions::deletions_only())
+        }
+        _ => s_repairs(db, sigma),
+    }
+    .unwrap();
+    let views: Vec<DeltaView<'_>> = repairs.iter().map(|r| r.view()).collect();
+    (certain_over(&views, q), possible_over(&views, q))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Factored enumeration expands to exactly the sequential repair sets,
-    /// at 1 and 4 threads.
+    /// The listings under an unlimited budget expand the per-component
+    /// families; under a step budget they take one search over the whole
+    /// graph. Both give the same S- and C-repairs, at 1 and 4 threads.
     #[test]
     fn factored_repair_sets_match_the_sequential_search(
         groups in proptest::collection::vec(1u8..4, 1..6),
     ) {
         let (db, sigma) = key_instance(&groups);
         let base = Arc::new(db);
-        let mono_s = monolithic_s_repairs(&base, &sigma);
-        let mono_c = monolithic_c_repairs(&base, &sigma);
-        for threads in [1, 4] {
-            let fact_s = with_threads(threads, || {
-                let out = factored_s_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-                    .unwrap()
-                    .expect("key constraints are denial-class");
-                prop_assert!(out.truncation().is_none());
-                Ok(deltas(out.into_value().expand().unwrap()))
-            })?;
-            prop_assert_eq!(&fact_s, &mono_s, "S-repairs at {} thread(s)", threads);
-            let fact_c = with_threads(threads, || {
-                let out = factored_c_repairs_budgeted(&base, &sigma, &Budget::unlimited())
-                    .unwrap()
-                    .expect("key constraints are denial-class");
-                prop_assert!(out.truncation().is_none());
-                Ok(deltas(out.into_value().expand().unwrap()))
-            })?;
-            prop_assert_eq!(&fact_c, &mono_c, "C-repairs at {} thread(s)", threads);
+        let whole_graph = Budget::steps(1_000_000);
+        for minimum in [false, true] {
+            let searched = listing(&base, &sigma, minimum, &whole_graph);
+            for threads in [1, 4] {
+                let expanded =
+                    with_threads(threads, || listing(&base, &sigma, minimum, &Budget::unlimited()));
+                prop_assert_eq!(
+                    &expanded,
+                    &searched,
+                    "{} at {} thread(s)",
+                    if minimum { "C-repairs" } else { "S-repairs" },
+                    threads
+                );
+            }
         }
     }
 
-    /// Truncated factored enumeration stays deterministic across thread
-    /// counts and never invents repairs: the partial expansion is a subset of
-    /// the full sequential repair set.
-    #[test]
-    fn truncated_factored_enumeration_is_deterministic_and_sound(
-        groups in proptest::collection::vec(2u8..4, 2..5),
-        steps in 1u64..200,
-    ) {
-        let (db, sigma) = key_instance(&groups);
-        let base = Arc::new(db);
-        let run = |threads: usize| {
-            with_threads(threads, || {
-                let budget = Budget::steps(steps);
-                let out = factored_s_repairs_budgeted(&base, &sigma, &budget)
-                    .unwrap()
-                    .expect("key constraints are denial-class");
-                let truncated = out.truncation().is_some();
-                (truncated, deltas(out.into_value().expand().unwrap()))
-            })
-        };
-        let (a, b) = (run(1), run(4));
-        prop_assert_eq!(&a, &b);
-        let mono = monolithic_s_repairs(&base, &sigma);
-        let mono: BTreeSet<_> = mono.into_iter().collect();
-        for delta in &a.1 {
-            prop_assert!(mono.contains(delta), "truncated expansion invented {:?}", delta);
-        }
-        if !a.0 {
-            prop_assert_eq!(a.1.len(), mono.len());
-        }
-    }
-
-    /// The component-wise certain/possible folds agree with the monolithic
-    /// fold over the full repair set, for both repair classes, for
-    /// per-component *and* spanning (self-join) queries, at 1 and 4 threads.
+    /// The routed certain/possible entries, plain and budgeted, agree with
+    /// the per-repair fold over the listed repairs, for both repair
+    /// classes, for per-component *and* spanning (self-join) queries, at 1
+    /// and 4 threads.
     #[test]
     fn factored_cqa_matches_the_monolithic_fold(
         groups in proptest::collection::vec(1u8..4, 1..6),
@@ -195,32 +178,29 @@ proptest! {
         ];
         for class in [RepairClass::Subset, RepairClass::Cardinality] {
             for q in &queries {
-                let mono_certain = consistent_answers(&db, &sigma, q, &class).unwrap();
-                let mono_possible = possible_answers(&db, &sigma, q, &class).unwrap();
+                let want = per_repair(&db, &sigma, q, &class);
                 for threads in [1, 4] {
-                    let (certain, possible) = with_threads(threads, || {
-                        let c = consistent_answers_factored_budgeted(
-                            &db, &sigma, q, &class, &Budget::unlimited(),
-                        )
-                        .unwrap()
-                        .expect("denial-class, deletion-based");
-                        let p = possible_answers_factored_budgeted(
-                            &db, &sigma, q, &class, &Budget::unlimited(),
-                        )
-                        .unwrap()
-                        .expect("denial-class, deletion-based");
-                        prop_assert!(c.truncation().is_none());
-                        prop_assert!(p.truncation().is_none());
-                        Ok((c.into_value().0, p.into_value().0))
+                    let (plain, budgeted) = with_threads(threads, || {
+                        let plain = (
+                            consistent_answers(&db, &sigma, q, &class).unwrap(),
+                            possible_answers(&db, &sigma, q, &class).unwrap(),
+                        );
+                        let unlimited = Budget::unlimited;
+                        let c = consistent_answers_budgeted(&db, &sigma, q, &class, &unlimited())
+                            .unwrap();
+                        let p = possible_answers_budgeted(&db, &sigma, q, &class, &unlimited())
+                            .unwrap();
+                        prop_assert!(c.is_exact() && p.is_exact());
+                        Ok((plain, (c.into_value(), p.into_value())))
                     })?;
-                    prop_assert_eq!(&certain, &mono_certain);
-                    prop_assert_eq!(&possible, &mono_possible);
+                    prop_assert_eq!(&plain, &want);
+                    prop_assert_eq!(&budgeted, &want);
                 }
             }
         }
     }
 
-    /// Under a random step budget the factored folds stay deterministic
+    /// Under a random step budget the routed folds stay deterministic
     /// across thread counts, and degrade to the documented sound bounds for
     /// monotone queries: truncated certain ⊆ exact certain and truncated
     /// possible ⊇ exact possible.
@@ -235,13 +215,9 @@ proptest! {
         let run = |threads: usize| {
             with_threads(threads, || {
                 let budget = Budget::steps(steps);
-                let c = consistent_answers_factored_budgeted(&db, &sigma, &q, &class, &budget)
-                    .unwrap()
-                    .expect("denial-class, deletion-based");
+                let c = consistent_answers_budgeted(&db, &sigma, &q, &class, &budget).unwrap();
                 let budget = Budget::steps(steps);
-                let p = possible_answers_factored_budgeted(&db, &sigma, &q, &class, &budget)
-                    .unwrap()
-                    .expect("denial-class, deletion-based");
+                let p = possible_answers_budgeted(&db, &sigma, &q, &class, &budget).unwrap();
                 (
                     c.truncation().is_some(),
                     c.into_value(),
@@ -252,9 +228,8 @@ proptest! {
         };
         let (a, b) = (run(1), run(4));
         prop_assert_eq!(&a, &b);
-        let exact_certain = consistent_answers(&db, &sigma, &q, &class).unwrap();
-        let exact_possible = possible_answers(&db, &sigma, &q, &class).unwrap();
-        let (c_trunc, (certain, _), p_trunc, (possible, _)) = a;
+        let (exact_certain, exact_possible) = per_repair(&db, &sigma, &q, &class);
+        let (c_trunc, certain, p_trunc, possible) = a;
         if c_trunc {
             prop_assert!(certain.is_subset(&exact_certain));
         } else {
@@ -267,11 +242,11 @@ proptest! {
         }
     }
 
-    /// The routed budgeted entries equal the unbudgeted monolithic
-    /// reference whenever they come back exact, for every deletion-based
-    /// class, under unlimited, deadline and step budgets, at 1 and 4
-    /// threads; truncated answers stay on the sound side (every query here
-    /// is monotone and every class deletion-only).
+    /// The routed entries equal the per-repair fold over the listed repairs
+    /// whenever they come back exact, for every deletion-based class, under
+    /// unlimited, deadline and step budgets, at 1 and 4 threads; truncated
+    /// answers stay on the sound side (every query here is monotone and
+    /// every class deletion-only).
     #[test]
     fn routed_budgeted_entries_match_the_monolithic_reference(
         groups in proptest::collection::vec((1u8..4, any::<bool>()), 1..5),
@@ -290,11 +265,19 @@ proptest! {
             RepairClass::Cardinality,
         ] {
             for (shape, q) in routed_queries() {
-                let certain = consistent_answers(&db, &sigma, &q, &class).unwrap();
-                let possible = possible_answers(&db, &sigma, &q, &class).unwrap();
+                let (certain, possible) = per_repair(&db, &sigma, &q, &class);
                 prop_assert!(certain.is_subset(&possible));
                 prop_assert!(possible.iter().all(|t| !t.has_null()), "{} kept a null", shape);
                 for threads in [1, 4] {
+                    let plain = with_threads(threads, || {
+                        (
+                            consistent_answers(&db, &sigma, &q, &class).unwrap(),
+                            possible_answers(&db, &sigma, &q, &class).unwrap(),
+                        )
+                    });
+                    let context = format!("{shape}, {class:?}, {threads} thread(s)");
+                    prop_assert_eq!(&plain.0, &certain, "plain certain: {}", context);
+                    prop_assert_eq!(&plain.1, &possible, "plain possible: {}", context);
                     for name in ["unlimited", "deadline", "expired deadline", "steps"] {
                         let (c, p) = with_threads(threads, || {
                             let c = consistent_answers_budgeted(

@@ -6,9 +6,10 @@
 //! body directly under SQL null semantics. It uses no conflict hyper-graph,
 //! hitting sets, repair views or plan cache. Certain, possible, IAR and
 //! aggregate-range answers then follow from their definitions, and the
-//! library's CQA entry points, the planner and every read of a
-//! `CqaSession` — before the first write and after each write of a random
-//! write sequence — are compared with them by content. The session keeps
+//! library's CQA entry points (AR answers and `cqa-cleaning`'s quality
+//! answers included), the planner and every read of a `CqaSession` —
+//! before the first write and after each write of a random write sequence —
+//! are compared with them by content. The session keeps
 //! each conflict component's graph, with its cached block shape, across the
 //! writes that do not touch it, so a shape a write should have dropped
 //! fails here.
@@ -35,9 +36,10 @@
 //! head term; in every other case `R`'s key column holds strings, so that
 //! answers resolve through the dictionary.
 
+use cqa_cleaning::{quality_answers, quality_answers_with_threshold};
 use cqa_constraints::{ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
-    answer_consistently, answer_consistently_budgeted, c_repairs, c_repairs_budgeted,
+    answer_consistently, answer_consistently_budgeted, ar_answers, c_repairs, c_repairs_budgeted,
     certainly_true, consistent_aggregate_range, consistent_aggregate_ranges, consistent_answers,
     consistent_answers_budgeted, iar_answers, possible_answers, possible_answers_budgeted,
     s_repairs, s_repairs_budgeted, CqaSession, RepairClass, RepairOptions,
@@ -340,12 +342,17 @@ fn library_routes_match_the_definitions() {
             "C-repairs, {ctx}"
         );
         let core = oracle.core();
+        let subset = oracle.repairs(&RepairClass::Subset);
         for (text, q) in queries() {
-            assert_eq!(
-                iar_answers(&db, &sigma, &q).unwrap(),
-                answers(&core, &q),
-                "IAR {text}, {ctx}"
-            );
+            let iar = iar_answers(&db, &sigma, &q).unwrap();
+            assert_eq!(iar, answers(&core, &q), "IAR {text}, {ctx}");
+            let ar = ar_answers(&db, &sigma, &q).unwrap();
+            assert_eq!(ar, certain(&subset, &q), "AR {text}, {ctx}");
+            // The core is inside every repair, so only a negated atom can
+            // give the core an answer some repair lacks.
+            if monotone(&q) {
+                assert!(iar.is_subset(&ar), "IAR ⊆ AR {text}, {ctx}");
+            }
         }
         for class in &CLASSES {
             let repairs = oracle.repairs(class);
@@ -364,6 +371,18 @@ fn library_routes_match_the_definitions() {
                 assert!(budgeted.0.is_exact() && budgeted.1.is_exact(), "{ctx}");
                 let budgeted = (budgeted.0.into_value(), budgeted.1.into_value());
                 assert_eq!(budgeted, want, "budgeted certain and possible, {ctx}");
+                let quality = quality_answers(&db, &sigma, &q, class).unwrap();
+                assert_eq!(quality, want.0, "quality answers, {ctx}");
+                let everywhere: BTreeSet<Tuple> =
+                    quality_answers_with_threshold(&db, &sigma, &q, class, 1.0)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(t, fraction)| {
+                            assert_eq!(fraction, 1.0, "{t} at threshold 1, {ctx}");
+                            t
+                        })
+                        .collect();
+                assert_eq!(everywhere, want.0, "quality answers at threshold 1, {ctx}");
             }
             for (text, q) in boolean_queries() {
                 let want = repairs.iter().all(|r| !answers(r, &q).is_empty());

@@ -75,11 +75,10 @@ proptest! {
         let [a, b, c] = at_thread_counts(|| cqa_core::certain_over(&instances, &q));
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &c);
-        let class = cqa_core::RepairClass::Subset;
-        let [a, b, c] =
-            at_thread_counts(|| cqa_core::possible_answers(&db, &sigma, &q, &class).unwrap());
+        let [a, b, c] = at_thread_counts(|| cqa_core::possible_over(&instances, &q));
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &c);
+        let class = cqa_core::RepairClass::Subset;
         let qb = UnionQuery::single(parse_query("Q() :- T(k, k)").unwrap());
         let [a, b, c] =
             at_thread_counts(|| cqa_core::certainly_true(&db, &sigma, &qb, &class).unwrap());

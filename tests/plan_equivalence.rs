@@ -1,20 +1,25 @@
 //! Plan-cache and join-order equivalence, property-tested: the subplan
-//! cache is a pure memoisation — certain and possible answers must be
-//! *byte-identical* with sharing on and off, at 1 and 4 threads, and under
-//! random step budgets (same answers, same truncation outcome, because
-//! budget ticks are charged before evaluation and a cache hit never moves a
-//! truncation point). Independently, any *admissible* join order — any
-//! permutation of a query's atoms — must produce the same answer set as the
-//! planner's cost-based choice: the orderer only moves work, never answers.
+//! cache is a pure memoisation — certain and possible answers folded over
+//! the listed repairs, one evaluation per repair view, must be
+//! *byte-identical* with sharing on and off, at 1 and 4 threads, and
+//! budgeted reads must agree under random step budgets (same answers, same
+//! truncation outcome, because budget ticks are charged before evaluation
+//! and a cache hit never moves a truncation point). Independently, any
+//! *admissible* join order — any permutation of a query's atoms — must
+//! produce the same answer set as the planner's cost-based choice: the
+//! orderer only moves work, never answers.
 
 use cqa_constraints::{ConstraintSet, KeyConstraint};
-use cqa_core::{consistent_answers, consistent_answers_budgeted, possible_answers, RepairClass};
+use cqa_core::{
+    c_repairs, certain_over, consistent_answers_budgeted, possible_over, s_repairs, RepairClass,
+};
 use cqa_exec::{with_plan_cache, with_threads, Budget};
 use cqa_query::{
     eval_cq, eval_cq_ordered, parse_query, parse_ucq, reset_plan_cache, NullSemantics, UnionQuery,
 };
-use cqa_relation::{tuple, Database, RelationSchema};
+use cqa_relation::{tuple, Database, DeltaView, RelationSchema, Tuple};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A two-relation instance with key-group conflicts in `T` under
 /// `key T(K)`, plus a clean dimension relation `D` to give the join
@@ -54,6 +59,23 @@ fn query_pool() -> Vec<UnionQuery> {
     .collect()
 }
 
+/// Certain and possible answers folded over the listed repairs of `class`:
+/// one evaluation of `query` per repair view, through the subplan cache.
+fn per_repair(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: &RepairClass,
+) -> (BTreeSet<Tuple>, BTreeSet<Tuple>) {
+    let repairs = match class {
+        RepairClass::Cardinality => c_repairs(db, sigma),
+        _ => s_repairs(db, sigma),
+    }
+    .unwrap();
+    let views: Vec<DeltaView<'_>> = repairs.iter().map(|r| r.view()).collect();
+    (certain_over(&views, query), possible_over(&views, query))
+}
+
 /// Deterministic Fisher–Yates over an splitmix-style stream: proptest's
 /// stand-in has no permutation strategy, so a seed drives the shuffle.
 fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
@@ -87,20 +109,14 @@ proptest! {
         let class = if class_pick == 0 { RepairClass::Subset } else { RepairClass::Cardinality };
         for query in &query_pool() {
             for threads in [1usize, 4] {
-                let (off_c, off_p) = with_threads(threads, || with_plan_cache(false, || {
-                    (
-                        consistent_answers(&db, &sigma, query, &class).unwrap(),
-                        possible_answers(&db, &sigma, query, &class).unwrap(),
-                    )
-                }));
+                let (off_c, off_p) = with_threads(threads, || {
+                    with_plan_cache(false, || per_repair(&db, &sigma, query, &class))
+                });
                 reset_plan_cache();
-                let (cold_c, cold_p, warm_c, warm_p) =
+                let ((cold_c, cold_p), (warm_c, warm_p)) =
                     with_threads(threads, || with_plan_cache(true, || {
-                        let cold_c = consistent_answers(&db, &sigma, query, &class).unwrap();
-                        let cold_p = possible_answers(&db, &sigma, query, &class).unwrap();
-                        let warm_c = consistent_answers(&db, &sigma, query, &class).unwrap();
-                        let warm_p = possible_answers(&db, &sigma, query, &class).unwrap();
-                        (cold_c, cold_p, warm_c, warm_p)
+                        let cold = per_repair(&db, &sigma, query, &class);
+                        (cold, per_repair(&db, &sigma, query, &class))
                     }));
                 prop_assert_eq!(&off_c, &cold_c, "certain drifted cache on/off");
                 prop_assert_eq!(&off_p, &cold_p, "possible drifted cache on/off");

@@ -85,17 +85,17 @@ fn hypergraph() -> ConflictHypergraph {
     ConflictHypergraph::new(nodes, edges)
 }
 
+/// The pooled per-repair driver: certain and possible answers folded over
+/// the 72 listed repair views, in chunks on the pool.
 #[test]
 fn cqa_folds_are_schedule_invariant() {
     let (db, sigma) = key_instance();
     let q = UnionQuery::single(parse_query("Q(k, v) :- T(k, v)").unwrap());
-    let class = RepairClass::Subset;
-    assert_schedule_invariant("consistent_answers", || {
-        cqa_core::consistent_answers(&db, &sigma, &q, &class).unwrap()
-    });
-    assert_schedule_invariant("possible_answers", || {
-        cqa_core::possible_answers(&db, &sigma, &q, &class).unwrap()
-    });
+    let repairs = cqa_core::s_repairs(&db, &sigma).unwrap();
+    let views: Vec<_> = repairs.iter().map(|r| r.view()).collect();
+    assert_eq!(views.len(), 72);
+    assert_schedule_invariant("certain_over", || cqa_core::certain_over(&views, &q));
+    assert_schedule_invariant("possible_over", || cqa_core::possible_over(&views, &q));
 }
 
 #[test]
